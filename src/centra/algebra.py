@@ -61,7 +61,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"mixed fields {self.field.name} and {other.field.name}")
             return other
@@ -115,11 +115,14 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self.inverse() if exponent < 0 else self
-        result = self.field.one
-        for _ in range(abs(exponent)):
-            result = result * base
-        return result
+        field = self.field
+        base = (self.inverse() if exponent < 0 else self).value
+        result = field._one_payload
+        for bit in bin(abs(exponent))[2:]:
+            result = field._mul(result, result)
+            if bit == "1":
+                result = field._mul(result, base)
+        return Scalar(field, result)
 
     def inverse(self):
         return Scalar(self.field, self.field._inv(self.value))
@@ -153,7 +156,10 @@ class Field:
     """Common behaviour of the three supported fields.
 
     Subclasses define the payload representation and the _-prefixed
-    payload arithmetic; user code works with Scalars.
+    payload arithmetic; user code works with Scalars.  The row_* kernels
+    run that arithmetic over whole payload rows for Matrix.  They skip zero
+    terms, which are costly in Q and GF(p)(t), by comparing with
+    _zero_payload: a GF(p)(t) payload is a tuple and always truthy.
     """
 
     name = None
@@ -162,7 +168,7 @@ class Field:
     def scalar(self, x):
         """Coerce x (Scalar, int, text literal, or payload) into this field."""
         if isinstance(x, Scalar):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise FieldMismatchError(
                     f"scalar of {x.field.name} given to {self.name}")
             return x
@@ -192,6 +198,42 @@ class Field:
     def random(self, rng):
         """Deterministic sample driven by the given random.Random."""
         return Scalar(self, self._random(rng))
+
+    def row_add(self, ra, rb):
+        add, zero = self._add, self._zero_payload
+        return [a if b == zero else add(a, b) for a, b in zip(ra, rb)]
+
+    def row_sub(self, ra, rb):
+        sub, zero = self._sub, self._zero_payload
+        return [a if b == zero else sub(a, b) for a, b in zip(ra, rb)]
+
+    def row_scale(self, row, c):
+        mul, zero = self._mul, self._zero_payload
+        return [a if a == zero else mul(c, a) for a in row]
+
+    def row_axpy(self, row, f, prow):
+        """row - f*prow."""
+        sub, mul, zero = self._sub, self._mul, self._zero_payload
+        return [a if b == zero else sub(a, mul(f, b))
+                for a, b in zip(row, prow)]
+
+    def row_matmul(self, arow, brows):
+        """The row vector arow times the matrix whose rows are brows."""
+        add, mul, zero = self._add, self._mul, self._zero_payload
+        acc = [zero] * len(brows[0])
+        for a, brow in zip(arow, brows):
+            if a != zero:
+                acc = [s if b == zero else add(s, mul(a, b))
+                       for s, b in zip(acc, brow)]
+        return acc
+
+    def row_dot(self, ra, rb):
+        add, mul, zero = self._add, self._mul, self._zero_payload
+        acc = zero
+        for a, b in zip(ra, rb):
+            if a != zero and b != zero:
+                acc = add(acc, mul(a, b))
+        return acc
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.name == self.name
@@ -268,6 +310,35 @@ class PrimeField(Field):
 
     def _random(self, rng):
         return rng.randrange(self.p)
+
+    # Residue row kernels, inline; products accumulate before one reduction.
+
+    def row_add(self, ra, rb):
+        p = self.p
+        return [(a + b) % p for a, b in zip(ra, rb)]
+
+    def row_sub(self, ra, rb):
+        p = self.p
+        return [(a - b) % p for a, b in zip(ra, rb)]
+
+    def row_scale(self, row, c):
+        p = self.p
+        return [c * a % p for a in row]
+
+    def row_axpy(self, row, f, prow):
+        p = self.p
+        return [(a - f * b) % p for a, b in zip(row, prow)]
+
+    def row_matmul(self, arow, brows):
+        acc = [0] * len(brows[0])
+        for a, brow in zip(arow, brows):
+            if a:
+                acc = [s + a * b for s, b in zip(acc, brow)]
+        p = self.p
+        return [s % p for s in acc]
+
+    def row_dot(self, ra, rb):
+        return sum([a * b for a, b in zip(ra, rb)]) % self.p
 
     def elements(self):
         """All field elements; exhaustive tests only."""
@@ -793,10 +864,6 @@ def poly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def poly_derivative(p):
-    return p.derivative()
 
 
 def _prime_divisors(n):

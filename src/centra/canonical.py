@@ -36,8 +36,8 @@ from .errors import (
 )
 from .matrices import (
     Matrix,
-    assemble_blocks,
     block_permutation_matrix,
+    place_blocks,
     poly_at_matrix,
 )
 
@@ -196,14 +196,6 @@ def _coupling_block(p, kind):
     return corner_matrix(p.field, p.degree)
 
 
-def _grid_assemble(field, s, nblocks, placed):
-    """Assemble an (nblocks*s)^2 matrix from {(bi, bj): s x s block}."""
-    zero = Matrix.zeros(field, s, s)
-    grid = [[placed.get((i, j), zero) for j in range(nblocks)]
-            for i in range(nblocks)]
-    return assemble_blocks(grid)
-
-
 def jordan_block(p, ell, kind=E_KIND):
     if ell < 1:
         raise NonPositivePartError(f"bad multiplicity {ell}")
@@ -212,7 +204,7 @@ def jordan_block(p, ell, kind=E_KIND):
     placed = {(i, i): c for i in range(ell)}
     for i in range(1, ell):
         placed[(i, i - 1)] = coupling
-    return _grid_assemble(p.field, p.degree, ell, placed)
+    return place_blocks(p.field, p.degree, ell, placed)
 
 
 def jordan_form(spec):
@@ -225,14 +217,14 @@ def jordan_form(spec):
         for i in range(start + 1, start + part):
             placed[(i, i - 1)] = coupling
         start += part
-    return _grid_assemble(spec.field, spec.s, r, placed)
+    return place_blocks(spec.field, spec.s, r, placed)
 
 
 def dn_split(spec):
     """Diagonal-of-companions D and the coupling remainder N, D + N = G."""
     c = companion_matrix(spec.p)
     r = spec.segre.r
-    d = _grid_assemble(spec.field, spec.s, r, {(i, i): c for i in range(r)})
+    d = place_blocks(spec.field, spec.s, r, {(i, i): c for i in range(r)})
     return d, jordan_form(spec) - d
 
 
@@ -272,7 +264,7 @@ def weyr_form(spec):
         for j in range(deeper):
             placed[(offset + j, offset + here + j)] = coupling
         offset += here
-    return _grid_assemble(spec.field, spec.s, r, placed)
+    return place_blocks(spec.field, spec.s, r, placed)
 
 
 def weyr_characteristic(w, p):

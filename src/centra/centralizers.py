@@ -48,7 +48,13 @@ from .errors import (
     NotSquareError,
     ShapeMismatchError,
 )
-from .matrices import BlockLayout, Matrix, conjugate_by_block_permutation, extract_blocks
+from .matrices import (
+    BlockLayout,
+    Matrix,
+    conjugate_by_block_permutation,
+    extract_blocks,
+    place_blocks,
+)
 from .algebra import poly_gcd
 
 
@@ -89,12 +95,11 @@ def companion_centralizer_element(c, v):
     if len(v) != s:
         raise ShapeMismatchError(f"first column has {len(v)} entries, need {s}")
     field = c.field
-    cols = [[field.scalar(e) for e in v]]
+    cols = [[field.scalar(e).value for e in v]]
     for _ in range(s - 1):
         prev = cols[-1]
-        cols.append([sum((c[i, k] * prev[k] for k in range(s) if prev[k]),
-                         field.zero) for i in range(s)])
-    return Matrix(field, [[cols[j][i] for j in range(s)] for i in range(s)])
+        cols.append([field.row_dot(crow, prev) for crow in c._rows])
+    return Matrix._from_payloads(field, zip(*cols))
 
 
 def companion_centralizer_basis(c):
@@ -139,11 +144,11 @@ def last_row_toeplitz(x):
     if not x.is_square():
         raise NotSquareError("tilde of a nonsquare matrix")
     n = x.rows
-    field = x.field
-    last = x.row(n - 1)
-    z = field.zero
-    return Matrix(field, [[last[j - i - 1] if j > i else z
-                           for j in range(n)] for i in range(n)])
+    last = x._rows[n - 1]
+    z = x.field._zero_payload
+    return Matrix._from_payloads(x.field, [[last[j - i - 1] if j > i else z
+                                            for j in range(n)]
+                                           for i in range(n)])
 
 
 def solve_corner_coupling(c, e, x):
@@ -173,19 +178,6 @@ def _c_powers_and_tildes(p):
     return powers, [last_row_toeplitz(z) for z in powers]
 
 
-def _block_element(field, s, nblocks, placed):
-    zero = Matrix.zeros(field, s, s)
-    rows = []
-    for bi in range(nblocks):
-        block_row = [placed.get((bi, bj), zero) for bj in range(nblocks)]
-        for i in range(s):
-            line = []
-            for blk in block_row:
-                line.extend(blk.row(i))
-            rows.append(line)
-    return Matrix(field, rows)
-
-
 def block_centralizer_basis(p, ell, kind=E_KIND):
     """Basis of the commutant of a single generalized block.
 
@@ -206,7 +198,7 @@ def block_centralizer_basis(p, ell, kind=E_KIND):
             if chained:
                 for i in range(k, ell):
                     placed[(i, i - k)] = tildes[e - 1]
-            elems.append(_block_element(p.field, s, ell, placed))
+            elems.append(place_blocks(p.field, s, ell, placed))
             layout.append(ParamSlot(1, 1, k, e))
     return CentralizerBasis(jordan_block(p, ell, kind), tuple(elems),
                             tuple(layout))
@@ -253,8 +245,7 @@ def jordan_centralizer_basis(spec):
                         for a in range(d1, alpha[ci]):
                             placed[(starts[ci] + a, starts[cj] + a - d1)] = \
                                 tildes[e - 1]
-                    elems.append(_block_element(spec.field, s, segre.r,
-                                                placed))
+                    elems.append(place_blocks(spec.field, s, segre.r, placed))
                     layout.append(ParamSlot(ci + 1, cj + 1, k, e))
     return CentralizerBasis(jordan_form(spec), tuple(elems), tuple(layout))
 
@@ -302,8 +293,7 @@ def weyr_centralizer_basis_direct(spec):
                                 placed[at] = powers[e - 1]
                             elif chained and slot == k + 1:
                                 placed[at] = tildes[e - 1]
-                    elems.append(_block_element(spec.field, s, segre.r,
-                                                placed))
+                    elems.append(place_blocks(spec.field, s, segre.r, placed))
                     layout.append(ParamSlot(ci, cj, k, e))
     return CentralizerBasis(weyr_form(spec), tuple(elems), tuple(layout))
 

@@ -69,9 +69,16 @@ def _canonical_spec(task):
 
 def _read_matrix(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path} is not UTF-8 text") from None
     if text.lstrip().startswith("{"):
-        return matrix_from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON in {path}: {exc}") from None
+        return matrix_from_json_obj(obj)
     return matrix_from_text(text)
 
 
@@ -165,6 +172,8 @@ def _cmd_det(task):
 
 
 def _cmd_verify(task):
+    if task.samples < 0:
+        raise ParseError(f"--samples must be >= 0, got {task.samples}")
     spec = _canonical_spec(task)
     results = run_invariant_suite(spec, seed=task.seed, samples=task.samples,
                                   max_n=task.max_n)

@@ -9,7 +9,7 @@ cap keeps the n^4-entry system from being built by accident.
 
 import os
 
-from .errors import NotSquareError, ShapeMismatchError, TooLargeError
+from .errors import NotSquareError, ParseError, ShapeMismatchError, TooLargeError
 from .matrices import Matrix
 
 DEFAULT_MAX_N = 40
@@ -21,7 +21,11 @@ def _resolve_cap(max_n):
         return max_n
     text = os.environ.get(MAX_N_ENV)
     if text is not None:
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(
+                f"{MAX_N_ENV} must be an integer, got {text!r}") from None
     return DEFAULT_MAX_N
 
 
@@ -31,15 +35,18 @@ def sylvester_system(a):
         raise NotSquareError("commuting space of a nonsquare matrix")
     n = a.rows
     field = a.field
-    zero = field.zero
+    zero = field._zero_payload
+    av = a._rows
     rows = [[zero] * (n * n) for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
             row = rows[i + j * n]
             for k in range(n):
-                row[k + j * n] = row[k + j * n] + a[i, k]
-                row[i + k * n] = row[i + k * n] - a[k, j]
-    return Matrix(field, rows)
+                if av[i][k] != zero:
+                    row[k + j * n] = field._add(row[k + j * n], av[i][k])
+                if av[k][j] != zero:
+                    row[i + k * n] = field._sub(row[i + k * n], av[k][j])
+    return Matrix._from_payloads(field, rows)
 
 
 def commutant_basis(a, max_n=None):
@@ -52,8 +59,9 @@ def commutant_basis(a, max_n=None):
     vectors = sylvester_system(a).kernel_basis()
     out = []
     for v in vectors:
-        out.append(Matrix(a.field, [[v[i + j * n, 0] for j in range(n)]
-                                    for i in range(n)]))
+        stacked = [r[0] for r in v._rows]
+        out.append(Matrix._from_payloads(
+            a.field, [stacked[i::n] for i in range(n)]))
     return out
 
 

@@ -1,13 +1,20 @@
 """Dense exact matrices over the supported fields.
 
-Row-major storage of Scalars, immutable after construction.  Elimination
-uses first-nonzero pivoting (deterministic, no magnitude concerns in exact
-arithmetic).  Kernel bases follow the free-variable identity convention:
-each basis vector carries 1 in its own free coordinate and 0 in the other
-free coordinates, so outputs are reproducible byte for byte.
+A Matrix stores the field's payloads, not Scalars: residue ints for GF(p),
+Fractions for Q and (num, den) pairs for GF(p)(t), row-major in tuples and
+immutable after construction.  Arithmetic runs whole rows through the
+field's row kernels (Field.row_add, row_scale, row_axpy, row_matmul,
+row_dot), so no entry is boxed on the way.  Scalars appear only at the
+boundary: indexing, row(), flat(), column_values(), determinant() and
+parsing or formatting.  Code in this package that already holds payload
+rows uses the unchecked Matrix._from_payloads.
 
-A fast path runs elimination on raw residue ints when the field is GF(p);
-it mirrors the generic control flow exactly and returns identical results.
+One elimination routine serves every field and every caller (rank,
+determinant, kernel_basis, inverse): first-nonzero pivoting, which is
+deterministic and needs no magnitude concerns in exact arithmetic.
+Kernel bases follow the free-variable identity convention: each basis
+vector carries 1 in its own free coordinate and 0 in the other free
+coordinates, so outputs are reproducible byte for byte.
 
 Text format: first line ``rows cols field``, then one line per row of
 whitespace-separated entries in the field's scalar syntax.  The JSON form
@@ -30,42 +37,39 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field, rows):
-        data = []
-        width = None
-        for row in rows:
-            entries = tuple(e if isinstance(e, Scalar) and e.field == field
-                            else field.scalar(e) for e in row)
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise ShapeMismatchError("ragged rows")
-            data.append(entries)
-        if not data or width == 0:
+        """Coerce every entry (Scalar, int, literal or payload) into field."""
+        data = [[e.value if isinstance(e, Scalar) and e.field is field
+                 else field.scalar(e).value for e in row] for row in rows]
+        if any(len(r) != len(data[0]) for r in data):
+            raise ShapeMismatchError("ragged rows")
+        self._init(field, data)
+
+    @classmethod
+    def _from_payloads(cls, field, rows):
+        """Unchecked constructor from equal-length rows of field payloads."""
+        m = cls.__new__(cls)
+        m._init(field, rows)
+        return m
+
+    def _init(self, field, rows):
+        self._rows = tuple(map(tuple, rows))
+        if not self._rows or not self._rows[0]:
             raise ShapeMismatchError("empty matrix")
         self.field = field
-        self.rows = len(data)
-        self.cols = width
-        self._rows = tuple(data)
+        self.rows = len(self._rows)
+        self.cols = len(self._rows[0])
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
+        return cls._from_payloads(field,
+                                  [(field._zero_payload,) * cols] * rows)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)]
-                           for i in range(n)])
-
-    @classmethod
-    def from_flat(cls, field, rows, cols, entries):
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ShapeMismatchError(
-                f"{len(entries)} entries for a {rows}x{cols} matrix")
-        return cls(field, [entries[i * cols:(i + 1) * cols]
-                           for i in range(rows)])
+        z, o = field._zero_payload, field._one_payload
+        return cls._from_payloads(field, [[o if i == j else z
+                                           for j in range(n)]
+                                          for i in range(n)])
 
     @classmethod
     def column(cls, field, entries):
@@ -73,75 +77,68 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self._rows[i][j]
+        return Scalar(self.field, self._rows[i][j])
 
     def row(self, i):
-        return self._rows[i]
+        field = self.field
+        return tuple([Scalar(field, v) for v in self._rows[i]])
 
     def column_values(self, j):
-        return tuple(r[j] for r in self._rows)
+        field = self.field
+        return tuple([Scalar(field, r[j]) for r in self._rows])
 
     def flat(self):
-        return tuple(e for r in self._rows for e in r)
+        field = self.field
+        return tuple([Scalar(field, v) for r in self._rows for v in r])
 
     def is_square(self):
         return self.rows == self.cols
 
     def is_zero(self):
-        return all(not e for r in self._rows for e in r)
+        zero = self.field._zero_payload
+        return all(v == zero for r in self._rows for v in r)
 
     def _same_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 f"mixed fields {self.field.name} and {other.field.name}")
 
-    def __add__(self, other):
+    def _entrywise(self, other, kernel, verb):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError(
-                f"add {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self._rows, other._rows)])
+            raise ShapeMismatchError(f"{verb} {self.rows}x{self.cols} "
+                                     f"with {other.rows}x{other.cols}")
+        return Matrix._from_payloads(self.field,
+                                     map(kernel, self._rows, other._rows))
+
+    def __add__(self, other):
+        return self._entrywise(other, self.field.row_add, "add")
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError(
-                f"sub {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self._rows, other._rows)])
+        return self._entrywise(other, self.field.row_sub, "sub")
 
     def __neg__(self):
-        return Matrix(self.field, [[-e for e in r] for r in self._rows])
+        neg = self.field._neg
+        return Matrix._from_payloads(self.field,
+                                     [[neg(v) for v in r] for r in self._rows])
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, (Scalar, int)):
-            c = self.field.scalar(other)
-            return Matrix(self.field, [[c * e for e in r] for r in self._rows])
+            c = field.scalar(other).value
+            return Matrix._from_payloads(
+                field, [field.row_scale(r, c) for r in self._rows])
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"mul {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        zero = self.field.zero
         brows = other._rows
-        out = []
-        for arow in self._rows:
-            acc = [zero] * other.cols
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = brows[k]
-                acc = [s + a * b for s, b in zip(acc, brow)]
-            out.append(acc)
-        return Matrix(self.field, out)
+        return Matrix._from_payloads(
+            field, [field.row_matmul(r, brows) for r in self._rows])
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -165,80 +162,54 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.field == other.field and self.rows == other.rows
-                and self.cols == other.cols and self._rows == other._rows)
+        return ((self.field is other.field or self.field == other.field)
+                and self.rows == other.rows and self.cols == other.cols
+                and self._rows == other._rows)
 
     def __hash__(self):
         return hash((self.field.name, self._rows))
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self._rows)))
+        return Matrix._from_payloads(self.field, zip(*self._rows))
 
     # -- elimination ----------------------------------------------------
 
-    def _scalar_grid(self):
-        return [list(r) for r in self._rows]
-
     def rank(self):
-        if isinstance(self.field, PrimeField):
-            pivots, _, _ = _forward_mod(
-                [[e.value for e in r] for r in self._rows], self.field.p)
-        else:
-            pivots, _, _ = _forward(self._scalar_grid(), self.field)
+        pivots, _, _ = _forward(list(self._rows), self.field)
         return len(pivots)
 
     def determinant(self):
         if not self.is_square():
             raise NotSquareError("determinant of a nonsquare matrix")
         field = self.field
-        if isinstance(field, PrimeField):
-            p = field.p
-            pivots, parity, prod = _forward_mod(
-                [[e.value for e in r] for r in self._rows], p)
-            if len(pivots) < self.rows:
-                return field.zero
-            return Scalar(field, (parity * prod) % p)
-        pivots, parity, prod = _forward(self._scalar_grid(), field)
+        pivots, parity, prod = _forward(list(self._rows), field)
         if len(pivots) < self.rows:
             return field.zero
-        return -prod if parity < 0 else prod
+        return Scalar(field, prod if parity > 0 else field._neg(prod))
 
     def kernel_basis(self):
         """Basis of the right null space as n x 1 column matrices."""
         field = self.field
-        if isinstance(field, PrimeField):
-            p = field.p
-            grid = [[e.value for e in r] for r in self._rows]
-            pivots, _, _ = _forward_mod(grid, p)
-            vecs = _kernel_vectors_mod(grid, pivots, self.cols, p)
-            return [Matrix.column(field, [Scalar(field, v) for v in vec])
-                    for vec in vecs]
-        grid = self._scalar_grid()
+        grid = list(self._rows)
         pivots, _, _ = _forward(grid, field)
-        vecs = _kernel_vectors(grid, pivots, self.cols, field)
-        return [Matrix.column(field, vec) for vec in vecs]
+        return [Matrix._from_payloads(field, [(v,) for v in vec])
+                for vec in _kernel_vectors(grid, pivots, self.cols, field)]
 
     def inverse(self):
         if not self.is_square():
             raise NotSquareError("inverse of a nonsquare matrix")
         field = self.field
         n = self.rows
-        ident = Matrix.identity(field, n)
-        grid = [list(r) + list(ident._rows[i])
-                for i, r in enumerate(self._rows)]
+        ident = Matrix.identity(field, n)._rows
+        grid = [r + e for r, e in zip(self._rows, ident)]
         pivots, _, _ = _forward(grid, field)
         # [A|I] always has row rank n; A is singular exactly when a pivot
-        # falls in the augmented half.
-        if len(pivots) < n or any(c >= n for c in pivots):
+        # falls in the augmented half.  Otherwise the kernel vector of free
+        # column n+j is (-(column j of A^-1), e_j).
+        if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            prow = grid[k]
-            for i in range(k):
-                f = grid[i][c]
-                if f:
-                    grid[i] = [a - f * b for a, b in zip(grid[i], prow)]
-        return Matrix(field, [row[n:] for row in grid])
+        vecs = _kernel_vectors(grid, pivots, 2 * n, field)
+        return -Matrix._from_payloads(field, zip(*[v[:n] for v in vecs]))
 
     def __repr__(self):
         return f"<{self.rows}x{self.cols} over {self.field.name}>"
@@ -248,71 +219,34 @@ class Matrix:
 
 
 def _forward(grid, field):
-    """In-place forward elimination with normalized pivot rows.
+    """In-place forward elimination of payload rows, pivot rows normalized.
 
-    Returns (pivot columns, swap parity, product of pivot values).
+    Returns (pivot columns, swap parity, product of pivot payloads).
     """
+    zero = field._zero_payload
     nrows = len(grid)
     ncols = len(grid[0])
     pivots = []
     parity = 1
-    prod = field.one
+    prod = field._one_payload
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if grid[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if grid[i][c] != zero), None)
         if piv is None:
             continue
         if piv != r:
             grid[r], grid[piv] = grid[piv], grid[r]
             parity = -parity
         v = grid[r][c]
-        prod = prod * v
-        inv = v.inverse()
-        grid[r] = [inv * a for a in grid[r]]
-        prow = grid[r]
+        prod = field._mul(prod, v)
+        # Rows r and below are zero left of column c: work on the tails.
+        lead = [zero] * c
+        tail = field.row_scale(grid[r][c:], field._inv(v))
+        grid[r] = lead + tail
         for i in range(r + 1, nrows):
             f = grid[i][c]
-            if f:
-                grid[i] = [a - f * b for a, b in zip(grid[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, parity, prod
-
-
-def _forward_mod(grid, p):
-    """Residue-int twin of _forward for GF(p)."""
-    nrows = len(grid)
-    ncols = len(grid[0])
-    pivots = []
-    parity = 1
-    prod = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if grid[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            grid[r], grid[piv] = grid[piv], grid[r]
-            parity = -parity
-        v = grid[r][c]
-        prod = (prod * v) % p
-        inv = pow(v, p - 2, p)
-        grid[r] = [(inv * a) % p for a in grid[r]]
-        prow = grid[r]
-        for i in range(r + 1, nrows):
-            f = grid[i][c]
-            if f:
-                grid[i] = [(a - f * b) % p for a, b in zip(grid[i], prow)]
+            if f != zero:
+                grid[i] = lead + field.row_axpy(grid[i][c:], f, tail)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -322,44 +256,23 @@ def _forward_mod(grid, p):
 
 def _kernel_vectors(grid, pivots, ncols, field):
     """Back-substitute one kernel vector per free column."""
-    zero = field.zero
+    zero = field._zero_payload
+    # Each pivot row reduced to its nonzero entries right of the pivot,
+    # last pivot first.
+    tails = []
+    for c, row in zip(pivots, grid):
+        cols = [j for j in range(c + 1, ncols) if row[j] != zero]
+        tails.append((c, cols, [row[j] for j in cols]))
+    tails.reverse()
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     out = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         vec = [zero] * ncols
-        vec[f] = field.one
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = grid[k]
-            acc = zero
-            for j in range(c + 1, ncols):
-                rj = row[j]
-                if rj and vec[j]:
-                    acc = acc + rj * vec[j]
-            vec[c] = -acc
-        out.append(vec)
-    return out
-
-
-def _kernel_vectors_mod(grid, pivots, ncols, p):
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    out = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = grid[k]
-            acc = 0
-            for j in range(c + 1, ncols):
-                rj = row[j]
-                if rj:
-                    vj = vec[j]
-                    if vj:
-                        acc += rj * vj
-            vec[c] = (-acc) % p
+        vec[f] = field._one_payload
+        for c, cols, coeffs in tails:
+            vec[c] = field._neg(field.row_dot(coeffs, [vec[j] for j in cols]))
         out.append(vec)
     return out
 
@@ -401,10 +314,6 @@ class BlockLayout:
             cc.append(cc[-1] + s)
         return cls(rc, cc)
 
-    @classmethod
-    def uniform(cls, s, nrow_blocks, ncol_blocks):
-        return cls.from_sizes([s] * nrow_blocks, [s] * ncol_blocks)
-
     @property
     def nrow_blocks(self):
         return len(self.row_cuts) - 1
@@ -429,7 +338,7 @@ def assemble_blocks(grid, layout=None):
                 raise ShapeMismatchError(
                     f"block ({bi},{bj}) is {block.rows}x{block.cols}, "
                     f"expected {row_sizes[bi]}x{col_sizes[bj]}")
-            if block.field != field:
+            if block.field is not field and block.field != field:
                 raise ShapeMismatchError("mixed fields in block grid")
     if layout is not None:
         expect = BlockLayout.from_sizes(row_sizes, col_sizes)
@@ -441,9 +350,24 @@ def assemble_blocks(grid, layout=None):
         for i in range(brow[0].rows):
             line = []
             for block in brow:
-                line.extend(block.row(i))
+                line.extend(block._rows[i])
             rows.append(line)
-    return Matrix(field, rows)
+    return Matrix._from_payloads(field, rows)
+
+
+def place_blocks(field, s, nblocks, placed):
+    """The (nblocks*s)^2 matrix of s x s blocks {(bi, bj): block}, else 0."""
+    zero = Matrix.zeros(field, s, s)
+    rows = []
+    for bi in range(nblocks):
+        block_row = [placed.get((bi, bj), zero)._rows
+                     for bj in range(nblocks)]
+        for i in range(s):
+            line = []
+            for blk in block_row:
+                line.extend(blk[i])
+            rows.append(line)
+    return Matrix._from_payloads(field, rows)
 
 
 def extract_blocks(m, layout):
@@ -455,9 +379,9 @@ def extract_blocks(m, layout):
     for bi in range(layout.nrow_blocks):
         row = []
         for bj in range(layout.ncol_blocks):
-            row.append(Matrix(m.field,
-                              [m.row(i)[cc[bj]:cc[bj + 1]]
-                               for i in range(rc[bi], rc[bi + 1])]))
+            row.append(Matrix._from_payloads(
+                m.field, [m._rows[i][cc[bj]:cc[bj + 1]]
+                          for i in range(rc[bi], rc[bi + 1])]))
         grid.append(row)
     return grid
 
@@ -482,26 +406,26 @@ def conjugate_by_block_permutation(a, perm, s):
         raise NotSquareError("conjugation of a nonsquare matrix")
     _check_block_perm(a.rows, perm, s)
     src = [perm[i // s] * s + i % s for i in range(a.rows)]
-    return Matrix(a.field,
-                  [[a._rows[si][sj] for sj in src] for si in src])
+    rows = a._rows
+    return Matrix._from_payloads(a.field,
+                                 [[rows[si][sj] for sj in src] for si in src])
 
 
 def block_permutation_matrix(field, perm, s):
     """The matrix P whose conjugation equals the index remapping above."""
     n = len(perm) * s
     _check_block_perm(n, perm, s)
-    z, o = field.zero, field.one
-    rows = [[z] * n for _ in range(n)]
+    rows = [[field._zero_payload] * n for _ in range(n)]
     for b, src in enumerate(perm):
         for k in range(s):
-            rows[src * s + k][b * s + k] = o
-    return Matrix(field, rows)
+            rows[src * s + k][b * s + k] = field._one_payload
+    return Matrix._from_payloads(field, rows)
 
 
 def matrix_to_text(m):
+    fmt = m.field._format
     lines = [f"{m.rows} {m.cols} {m.field.name}"]
-    for r in m._rows:
-        lines.append(" ".join(str(e) for e in r))
+    lines.extend(" ".join(map(fmt, r)) for r in m._rows)
     return "\n".join(lines)
 
 
@@ -524,15 +448,16 @@ def matrix_from_text(text):
         entries = ln.split()
         if len(entries) != cols:
             raise ParseError(f"expected {cols} entries in row {ln!r}")
-        data.append([field.scalar(tok) for tok in entries])
-    return Matrix(field, data)
+        data.append([field._parse(tok) for tok in entries])
+    return Matrix._from_payloads(field, data)
 
 
 def matrix_to_json_obj(m):
     if isinstance(m.field, PrimeField):
-        entries = [[e.value for e in r] for r in m._rows]
+        entries = [list(r) for r in m._rows]
     else:
-        entries = [[str(e) for e in r] for r in m._rows]
+        fmt = m.field._format
+        entries = [list(map(fmt, r)) for r in m._rows]
     return {"rows": m.rows, "cols": m.cols, "field": m.field.name,
             "entries": entries}
 
@@ -544,6 +469,11 @@ def matrix_from_json_obj(obj):
         entries = obj["entries"]
     except (KeyError, TypeError):
         raise ParseError(f"bad matrix object {obj!r}") from None
+    if type(rows) is not int or type(cols) is not int:
+        raise ParseError("rows and cols must be integers")
+    if not isinstance(entries, list) or not all(
+            isinstance(r, list) for r in entries):
+        raise ParseError("entries must be a list of lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("entry grid does not match rows/cols")
-    return Matrix(field, [[field.scalar(e) for e in r] for r in entries])
+    return Matrix(field, entries)

@@ -32,7 +32,8 @@ from .matrices import Matrix, conjugate_by_block_permutation, extract_blocks, po
 
 
 def _stacked_rank(field, mats):
-    return Matrix(field, [m.flat() for m in mats]).rank()
+    return Matrix._from_payloads(
+        field, [[v for r in m._rows for v in r] for m in mats]).rank()
 
 
 def _is_block_upper(m, layout):

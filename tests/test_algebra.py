@@ -275,3 +275,12 @@ def test_scalar_pow():
     assert a ** 3 == f7.scalar(27)
     assert a ** -1 == a.inverse()
     assert isinstance(a ** 2, Scalar)
+    e = 10 ** 6 + 3
+    assert (a ** e).value == pow(3, e, 7)
+    assert a ** -e == (a ** e).inverse()
+    assert (a ** -e).value == pow(pow(3, -1, 7), e, 7)
+    with pytest.raises(DivisionByZeroError):
+        f7.zero ** -2
+    assert f7.zero ** 0 == f7.one
+    q = QQ.scalar("2/3")
+    assert q ** 5 == QQ.scalar("32/243") and q ** -2 == QQ.scalar("9/4")

@@ -184,6 +184,50 @@ def test_usage_errors_exit_two(capsys, argv, needle):
     assert needle in err
 
 
+def _assert_one_line_error(rc, err):
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [
+    b'{"rows": 2, "cols": ',
+    b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": 5}',
+    b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": [5]}',
+    b'{"rows": "1", "cols": 1, "field": "gf:3", "entries": [[5]]}',
+    b'{"rows": 1, "cols": 1.0, "field": "gf:3", "entries": [[5]]}',
+    b"\xff\xfe 1 1 gf:3",
+])
+def test_bad_input_file_exit_two(tmp_path, capsys, data):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    rc, out, err = _run(capsys, ["oracle", "--input", str(path)])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1",
+     "--oracle"],
+    ["verify", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1"],
+])
+def test_bad_max_n_env_exit_two(monkeypatch, capsys, argv):
+    monkeypatch.setenv("CENTRA_MAX_N", "abc")
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert "CENTRA_MAX_N" in err
+
+
+def test_negative_samples_exit_two(capsys):
+    rc, out, err = _run(capsys, ["verify", "--field", "gf:3", "--poly",
+                                 "x^2+1", "--alpha", "2,1", "--samples",
+                                 "-3"])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert "--samples" in err
+
+
 def test_oracle_size_cap_exit_two(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text(matrix_to_text(Matrix.identity(F3, 3)) + "\n")
