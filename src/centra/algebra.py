@@ -33,21 +33,9 @@ from .errors import (
     NotMonicError,
     ParseError,
 )
+from .rows import PackedRows, PayloadRows
 
 NEG_INF = float("-inf")
-
-
-class Asserted:
-    """Truthy marker for irreducibility accepted on caller assertion."""
-
-    def __bool__(self):
-        return True
-
-    def __repr__(self):
-        return "Asserted"
-
-
-ASSERTED = Asserted()
 
 
 class Scalar:
@@ -160,6 +148,10 @@ class Field:
     run that arithmetic over whole payload rows for Matrix.  They skip zero
     terms, which are costly in Q and GF(p)(t), by comparing with
     _zero_payload: a GF(p)(t) payload is a tuple and always truthy.
+
+    row_store() makes the working rows of one elimination for the single
+    routine in matrices: payload lists (rows.PayloadRows) here, one packed
+    int per row (rows.PackedRows) in PrimeField.
     """
 
     name = None
@@ -234,6 +226,10 @@ class Field:
             if a != zero and b != zero:
                 acc = add(acc, mul(a, b))
         return acc
+
+    def row_store(self, rows):
+        """Working rows for one elimination over this field."""
+        return PayloadRows(self, rows)
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.name == self.name
@@ -325,10 +321,6 @@ class PrimeField(Field):
         p = self.p
         return [c * a % p for a in row]
 
-    def row_axpy(self, row, f, prow):
-        p = self.p
-        return [(a - f * b) % p for a, b in zip(row, prow)]
-
     def row_matmul(self, arow, brows):
         acc = [0] * len(brows[0])
         for a, brow in zip(arow, brows):
@@ -339,6 +331,9 @@ class PrimeField(Field):
 
     def row_dot(self, ra, rb):
         return sum([a * b for a, b in zip(ra, rb)]) % self.p
+
+    def row_store(self, rows):
+        return PackedRows(self.p, rows)
 
     def elements(self):
         """All field elements; exhaustive tests only."""
@@ -881,7 +876,7 @@ def _prime_divisors(n):
 
 
 def is_irreducible(p, assume_irreducible=False):
-    """Exact test over GF(q); Asserted over Q and GF(p)(t).
+    """Exact test over GF(q); taken on assertion over Q and GF(p)(t).
 
     Over a prime field this runs the deterministic distinct-degree
     criterion: p of degree n is irreducible iff x**(q**n) == x mod p and
@@ -889,7 +884,7 @@ def is_irreducible(p, assume_irreducible=False):
 
     Over Q and GF(p)(t) no factorization is attempted.  A nontrivial
     gcd(p, p') proves reducibility and returns False; otherwise the caller
-    must pass assume_irreducible=True and receives the ASSERTED marker.
+    must pass assume_irreducible=True to get True.
     """
     if not p.is_monic():
         raise NotMonicError(f"not monic: {p!r}")
@@ -919,7 +914,7 @@ def is_irreducible(p, assume_irreducible=False):
         if 0 < g.degree < n:
             return False
     if assume_irreducible:
-        return ASSERTED
+        return True
     raise IrreducibilityUnsupportedError(
         f"no exact irreducibility test over {field.name}; "
         "pass assume_irreducible=True to accept the hypothesis")

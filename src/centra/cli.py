@@ -6,9 +6,9 @@ pass, 1 verification failure, 2 usage or input errors.
 """
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import Poly, field_from_name
 from .canonical import jordan_form, make_spec, weyr_form, weyr_permutation
@@ -29,25 +29,6 @@ from .matrices import (
 from .verify import run_invariant_suite
 
 
-@dataclass
-class TaskSpec:
-    """One resolved CLI invocation."""
-
-    command: str
-    field: str = "gf:2"
-    poly: str = ""
-    alpha: tuple = ()
-    kind: str = "e"
-    assume_irreducible: bool = False
-    form: str = "jordan"
-    fmt: str = "text"
-    seed: int = 0
-    samples: int = 5
-    max_n: int | None = None
-    oracle: bool = False
-    input_path: str = ""
-
-
 def _parse_alpha(text):
     try:
         parts = tuple(int(x) for x in text.split(","))
@@ -57,13 +38,14 @@ def _parse_alpha(text):
 
 
 def _canonical_spec(task):
+    alpha = _parse_alpha(task.alpha) if task.alpha else ()
     fld = field_from_name(task.field)
     if not task.poly:
         raise ParseError("--poly is required for this command")
-    if not task.alpha:
+    if not alpha:
         raise ParseError("--alpha is required for this command")
     p = Poly.parse(task.poly, fld, var="x")
-    return make_spec(p, task.alpha, kind=task.kind,
+    return make_spec(p, alpha, kind=task.kind,
                      assume_irreducible=task.assume_irreducible)
 
 
@@ -225,13 +207,16 @@ _COMMANDS = {
 }
 
 
-def run(task):
-    """Dispatch one TaskSpec; returns the process exit status."""
-    return _COMMANDS[task.command](task)
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError, so main prints one line."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centra",
         description="Exact generalized Jordan/Weyr forms and their "
                     "centralizers.")
@@ -286,29 +271,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
-        task = TaskSpec(
-            command=ns.command,
-            field=getattr(ns, "field", "gf:2"),
-            poly=getattr(ns, "poly", ""),
-            alpha=_parse_alpha(ns.alpha) if getattr(ns, "alpha", "") else (),
-            kind=getattr(ns, "kind", "e"),
-            assume_irreducible=getattr(ns, "assume_irreducible", False),
-            form=getattr(ns, "form", "jordan"),
-            fmt=ns.fmt,
-            seed=ns.seed,
-            samples=getattr(ns, "samples", 5),
-            max_n=ns.max_n,
-            oracle=getattr(ns, "oracle", False),
-            input_path=getattr(ns, "input_path", ""),
-        )
-        return run(task)
-    except CentraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        ns = _build_parser().parse_args(argv)
+        return _COMMANDS[ns.command](ns)
+    except (CentraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,15 +3,23 @@
 A Matrix stores the field's payloads, not Scalars: residue ints for GF(p),
 Fractions for Q and (num, den) pairs for GF(p)(t), row-major in tuples and
 immutable after construction.  Arithmetic runs whole rows through the
-field's row kernels (Field.row_add, row_scale, row_axpy, row_matmul,
-row_dot), so no entry is boxed on the way.  Scalars appear only at the
-boundary: indexing, row(), flat(), column_values(), determinant() and
-parsing or formatting.  Code in this package that already holds payload
-rows uses the unchecked Matrix._from_payloads.
+field's row kernels (Field.row_add, row_scale, row_matmul, ...), so no
+entry is boxed on the way.  Scalars appear only at the boundary:
+indexing, row(), flat(), column_values(), determinant() and parsing or
+formatting.  Code in this package that already holds payload rows uses
+the unchecked Matrix._from_payloads.
 
-One elimination routine serves every field and every caller (rank,
-determinant, kernel_basis, inverse): first-nonzero pivoting, which is
-deterministic and needs no magnitude concerns in exact arithmetic.
+One forward routine (_forward) and one kernel routine (_kernel_vectors)
+serve every field and every caller (rank, determinant, kernel_basis,
+inverse).  They drive the field's row store (Field.row_store), which
+alone differs by field: Q and GF(p)(t) keep payload lists, GF(p) packs
+each row into one int with a fixed-width slot per column, so a row update
+is one big-int multiply-add and entries are reduced mod p only when a
+pivot is read or normalized.  No slot exceeds (p-1) + ncols*(p-1)**2,
+and the slot width holds that bound, so no slot carries into the next.
+Pivoting takes the first row whose leading entry lies in the current
+column, which is deterministic and needs no magnitude concerns in exact
+arithmetic.
 Kernel bases follow the free-variable identity convention: each basis
 vector carries 1 in its own free coordinate and 0 in the other free
 coordinates, so outputs are reproducible byte for byte.
@@ -175,14 +183,14 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def rank(self):
-        pivots, _, _ = _forward(list(self._rows), self.field)
+        pivots, _, _ = _forward(self.field.row_store(self._rows), self.field)
         return len(pivots)
 
     def determinant(self):
         if not self.is_square():
             raise NotSquareError("determinant of a nonsquare matrix")
         field = self.field
-        pivots, parity, prod = _forward(list(self._rows), field)
+        pivots, parity, prod = _forward(field.row_store(self._rows), field)
         if len(pivots) < self.rows:
             return field.zero
         return Scalar(field, prod if parity > 0 else field._neg(prod))
@@ -190,10 +198,10 @@ class Matrix:
     def kernel_basis(self):
         """Basis of the right null space as n x 1 column matrices."""
         field = self.field
-        grid = list(self._rows)
-        pivots, _, _ = _forward(grid, field)
+        store = field.row_store(self._rows)
+        pivots, _, _ = _forward(store, field)
         return [Matrix._from_payloads(field, [(v,) for v in vec])
-                for vec in _kernel_vectors(grid, pivots, self.cols, field)]
+                for vec in _kernel_vectors(store, pivots, field)]
 
     def inverse(self):
         if not self.is_square():
@@ -201,14 +209,14 @@ class Matrix:
         field = self.field
         n = self.rows
         ident = Matrix.identity(field, n)._rows
-        grid = [r + e for r, e in zip(self._rows, ident)]
-        pivots, _, _ = _forward(grid, field)
+        store = field.row_store([r + e for r, e in zip(self._rows, ident)])
+        pivots, _, _ = _forward(store, field)
         # [A|I] always has row rank n; A is singular exactly when a pivot
         # falls in the augmented half.  Otherwise the kernel vector of free
         # column n+j is (-(column j of A^-1), e_j).
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        vecs = _kernel_vectors(grid, pivots, 2 * n, field)
+        vecs = _kernel_vectors(store, pivots, field)
         return -Matrix._from_payloads(field, zip(*[v[:n] for v in vecs]))
 
     def __repr__(self):
@@ -218,63 +226,58 @@ class Matrix:
         return matrix_to_text(self)
 
 
-def _forward(grid, field):
-    """In-place forward elimination of payload rows, pivot rows normalized.
+def _forward(store, field):
+    """Forward elimination of the store's rows, pivot rows normalized.
 
-    Returns (pivot columns, swap parity, product of pivot payloads).
+    Returns (pivot columns, swap parity, product of pivot payloads).  The
+    pivot of column c is the first row at or below the current one whose
+    lead is c; rows with a later lead are not touched.
     """
-    zero = field._zero_payload
-    nrows = len(grid)
-    ncols = len(grid[0])
+    lead = store.lead
+    nrows = len(lead)
     pivots = []
     parity = 1
     prod = field._one_payload
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if grid[i][c] != zero), None)
-        if piv is None:
-            continue
-        if piv != r:
-            grid[r], grid[piv] = grid[piv], grid[r]
-            parity = -parity
-        v = grid[r][c]
-        prod = field._mul(prod, v)
-        # Rows r and below are zero left of column c: work on the tails.
-        lead = [zero] * c
-        tail = field.row_scale(grid[r][c:], field._inv(v))
-        grid[r] = lead + tail
-        for i in range(r + 1, nrows):
-            f = grid[i][c]
-            if f != zero:
-                grid[i] = lead + field.row_axpy(grid[i][c:], f, tail)
-        pivots.append(c)
-        r += 1
+    for c in range(store.ncols):
+        r = len(pivots)
         if r == nrows:
             break
+        try:
+            piv = lead.index(c, r)
+        except ValueError:
+            continue
+        if piv != r:
+            store.swap(r, piv)
+            parity = -parity
+        prod = field._mul(prod, store.normalize(r, c))
+        for i in [i for i in range(r + 1, nrows) if lead[i] == c]:
+            store.eliminate(i, r, c)
+        pivots.append(c)
     return pivots, parity, prod
 
 
-def _kernel_vectors(grid, pivots, ncols, field):
-    """Back-substitute one kernel vector per free column."""
-    zero = field._zero_payload
-    # Each pivot row reduced to its nonzero entries right of the pivot,
-    # last pivot first.
-    tails = []
-    for c, row in zip(pivots, grid):
-        cols = [j for j in range(c + 1, ncols) if row[j] != zero]
-        tails.append((c, cols, [row[j] for j in cols]))
-    tails.reverse()
+def _kernel_vectors(store, pivots, field):
+    """One kernel vector per free column, after _forward on the store.
+
+    Solves for all free columns at once: x[j] holds entry j of every
+    vector, x[f] = e_k for the k-th free column f, and pivot row c gives
+    x[c] = -(its entries right of c) . x, last pivot first.
+    """
+    ncols = store.ncols
     pivot_set = set(pivots)
-    out = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[f] = field._one_payload
-        for c, cols, coeffs in tails:
-            vec[c] = field._neg(field.row_dot(coeffs, [vec[j] for j in cols]))
-        out.append(vec)
-    return out
+    free = [j for j in range(ncols) if j not in pivot_set]
+    m = len(free)
+    if not m:
+        return []
+    zero = field._zero_payload
+    x = [None] * ncols
+    for k, f in enumerate(free):
+        x[f] = store.unit(k, m)
+    for c, row in reversed(list(zip(pivots, store.rows))):
+        tail = store.values(row, c + 1, ncols - c - 1)
+        x[c] = store.combine([(v, x[j]) for j, v in enumerate(tail, c + 1)
+                              if v != zero], m)
+    return list(zip(*[store.values(v, 0, m) for v in x]))
 
 
 def poly_at_matrix(p, a):

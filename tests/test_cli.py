@@ -1,6 +1,10 @@
 """End-to-end command line behavior, run in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +248,35 @@ def test_first_kind_flag(capsys):
     assert rc == 0
     assert "PASS dn_commute" in out
     assert out.splitlines()[-1] == "result: pass (17 properties)"
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["bogus"], "invalid choice"),
+    (["verify", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1",
+      "--samples", "abc"], "--samples"),
+    ([], "required"),
+    (["jordan", "--no-such-flag"], "--no-such-flag"),
+    (["oracle", "--format", "xml"], "--format"),
+])
+def test_argparse_errors_are_one_line(capsys, argv, needle):
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert needle in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_not_at_import():
+    code = ("import centra.cli as c; print(c._build_parser.cache_info()"
+            ".currsize); print(c._build_parser() is c._build_parser())")
+    src = str(Path(centra.cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == ["0", "True"]
