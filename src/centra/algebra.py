@@ -33,7 +33,7 @@ from .errors import (
     NotMonicError,
     ParseError,
 )
-from .rows import PackedRows, PayloadRows
+from .rows import PackedRows, PayloadRows, RationalRows
 
 NEG_INF = float("-inf")
 
@@ -150,8 +150,10 @@ class Field:
     _zero_payload: a GF(p)(t) payload is a tuple and always truthy.
 
     row_store() makes the working rows of one elimination for the single
-    routine in matrices: payload lists (rows.PayloadRows) here, one packed
-    int per row (rows.PackedRows) in PrimeField.
+    routine in matrices: payload lists (rows.PayloadRows) here, used by
+    GF(p)(t) only; one packed int per row (rows.PackedRows) in PrimeField;
+    primitive integer rows over one denominator (rows.RationalRows) in
+    RationalField.
     """
 
     name = None
@@ -390,6 +392,9 @@ class RationalField(Field):
 
     def _random(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def row_store(self, rows):
+        return RationalRows(rows)
 
 
 class RationalFunctionField(Field):

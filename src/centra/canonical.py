@@ -45,11 +45,6 @@ E_KIND = "e"
 FIRST_KIND = "first"
 
 
-def normalize_partition(alpha):
-    """Strip zero parts; validation happens in segre_indexing."""
-    return tuple(a for a in alpha if a != 0)
-
-
 def conjugate_partition(alpha):
     """tau_j = #{i : alpha_i >= j} for j = 1..alpha_1."""
     alpha = _validated_partition(alpha)

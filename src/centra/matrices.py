@@ -11,12 +11,18 @@ the unchecked Matrix._from_payloads.
 
 One forward routine (_forward) and one kernel routine (_kernel_vectors)
 serve every field and every caller (rank, determinant, kernel_basis,
-inverse).  They drive the field's row store (Field.row_store), which
-alone differs by field: Q and GF(p)(t) keep payload lists, GF(p) packs
-each row into one int with a fixed-width slot per column, so a row update
-is one big-int multiply-add and entries are reduced mod p only when a
-pivot is read or normalized.  No slot exceeds (p-1) + ncols*(p-1)**2,
-and the slot width holds that bound, so no slot carries into the next.
+inverse).  They drive a row store that the field alone picks
+(Field.row_store; the classes are in rows.py), and only the store
+differs by field:
+- GF(p) packs each row into one int with a fixed-width slot per column,
+  so a row update is one big-int multiply-add and entries are reduced
+  mod p only when a pivot is read or normalized.  No slot exceeds
+  (p-1) + ncols*(p-1)**2, and the slot width holds that bound, so no
+  slot carries into the next.
+- Q keeps each row as primitive ints over one denominator, so a row
+  update is integer arithmetic plus one gcd, and no Fraction is built
+  until a pivot or a kernel entry leaves the store.
+- GF(p)(t) keeps lists of field payloads.
 Pivoting takes the first row whose leading entry lies in the current
 column, which is deterministic and needs no magnitude concerns in exact
 arithmetic.
@@ -201,7 +207,7 @@ class Matrix:
         store = field.row_store(self._rows)
         pivots, _, _ = _forward(store, field)
         return [Matrix._from_payloads(field, [(v,) for v in vec])
-                for vec in _kernel_vectors(store, pivots, field)]
+                for vec in _kernel_vectors(store, pivots)]
 
     def inverse(self):
         if not self.is_square():
@@ -216,7 +222,7 @@ class Matrix:
         # column n+j is (-(column j of A^-1), e_j).
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        vecs = _kernel_vectors(store, pivots, field)
+        vecs = _kernel_vectors(store, pivots)
         return -Matrix._from_payloads(field, zip(*[v[:n] for v in vecs]))
 
     def __repr__(self):
@@ -256,12 +262,13 @@ def _forward(store, field):
     return pivots, parity, prod
 
 
-def _kernel_vectors(store, pivots, field):
+def _kernel_vectors(store, pivots):
     """One kernel vector per free column, after _forward on the store.
 
     Solves for all free columns at once: x[j] holds entry j of every
-    vector, x[f] = e_k for the k-th free column f, and pivot row c gives
-    x[c] = -(its entries right of c) . x, last pivot first.
+    vector, x[f] = e_k for the k-th free column f, and pivot row r, whose
+    lead is c, gives x[c] = -(its entries right of c) . x, last pivot
+    first.  The store keeps each x[j] in its own form until payloads.
     """
     ncols = store.ncols
     pivot_set = set(pivots)
@@ -269,15 +276,12 @@ def _kernel_vectors(store, pivots, field):
     m = len(free)
     if not m:
         return []
-    zero = field._zero_payload
     x = [None] * ncols
     for k, f in enumerate(free):
         x[f] = store.unit(k, m)
-    for c, row in reversed(list(zip(pivots, store.rows))):
-        tail = store.values(row, c + 1, ncols - c - 1)
-        x[c] = store.combine([(v, x[j]) for j, v in enumerate(tail, c + 1)
-                              if v != zero], m)
-    return list(zip(*[store.values(v, 0, m) for v in x]))
+    for r in reversed(range(len(pivots))):
+        x[pivots[r]] = store.solve(r, pivots[r], x, m)
+    return list(zip(*[store.payloads(v, m) for v in x]))
 
 
 def poly_at_matrix(p, a):

@@ -1,22 +1,26 @@
 """Working rows of one elimination, one store class per kind of field.
 
 matrices._forward and matrices._kernel_vectors run every elimination
-through a store that Field.row_store makes: PayloadRows, lists of field
-payloads, for Q and GF(p)(t); PackedRows, one int per row, for GF(p).
+through a store that Field.row_store makes: PackedRows, one int per row,
+for GF(p); RationalRows, primitive integer rows over one denominator, for
+Q; PayloadRows, lists of field payloads, for GF(p)(t).
 """
 
 import sys
 from array import array
+from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 
 class PayloadRows:
     """Elimination rows as lists of field payloads; the store interface.
 
     rows[i] is row i and lead[i] the column of its first nonzero entry
-    (ncols for a zero row); every entry left of the lead is zero.  Rows of
-    the kernel solve hold m entries; unit, combine and values work on
-    either kind.
+    (ncols for a zero row); every entry left of the lead is zero.  The
+    kernel solve works on vectors of m entries, in whatever form the store
+    chooses: unit makes one, solve combines them and payloads reads one
+    out as field payloads.
     """
 
     def __init__(self, field, rows):
@@ -52,22 +56,117 @@ class PayloadRows:
         row[c + 1:] = field.row_axpy(row[c + 1:], f, self.rows[r][c + 1:])
         self.lead[i] = self._first(row, c + 1)
 
-    def values(self, row, start, m):
-        """Entries start .. start+m-1 of a row that ends there."""
-        return row[start:start + m]
-
     def unit(self, k, m):
+        """The k-th of m unit vectors."""
         row = [self.field._zero_payload] * m
         row[k] = self.field._one_payload
         return row
 
-    def combine(self, terms, m):
-        """-(sum of f * row) over (f, row) pairs of m-entry rows."""
+    def solve(self, r, c, x, m):
+        """-(entries of pivot row r right of its lead c) . x, m entries."""
+        field = self.field
+        zero = field._zero_payload
+        terms = [(v, x[j]) for j, v in enumerate(self.rows[r][c + 1:], c + 1)
+                 if v != zero]
         if not terms:
-            return [self.field._zero_payload] * m
-        coeffs, rows = zip(*terms)
-        neg = self.field._neg
-        return [neg(v) for v in self.field.row_matmul(coeffs, rows)]
+            return [zero] * m
+        coeffs, vecs = zip(*terms)
+        neg = field._neg
+        return [neg(v) for v in field.row_matmul(coeffs, vecs)]
+
+    def payloads(self, vec, m):
+        return vec
+
+
+class RationalRows:
+    """Q working rows, each a list of ints over one positive denominator.
+
+    Same interface as PayloadRows.  Row i has the value rows[i] / den[i]
+    and is kept primitive, gcd(*rows[i], den[i]) == 1, by dividing out the
+    content after every update; a row read in over the lcm of its
+    denominators is primitive already.  A normalized pivot row has
+    rows[r][c] == den[r].  Clearing column c of row i with it is
+    rows[i]*den[r] - rows[i][c]*rows[r] over den[i]*den[r], integer
+    arithmetic only.  Unlike Bareiss's exact division, content removal
+    does not need every row updated at every step, so rows with a later
+    lead are left alone.  Kernel vectors are (ints, den) pairs too; they
+    become Fractions only in payloads.
+    """
+
+    def __init__(self, rows):
+        self.ncols = ncols = len(rows[0])
+        self.rows = []
+        self.den = []
+        for row in rows:
+            den = lcm(*[v.denominator for v in row])
+            self.rows.append([v.numerator * (den // v.denominator)
+                              for v in row])
+            self.den.append(den)
+        self.lead = [self._first(r, 0) for r in self.rows]
+
+    def _first(self, row, start):
+        return next((j for j in range(start, self.ncols) if row[j]),
+                    self.ncols)
+
+    def swap(self, i, j):
+        for seq in (self.rows, self.lead, self.den):
+            seq[i], seq[j] = seq[j], seq[i]
+
+    def normalize(self, r, c):
+        row, den = self.rows[r], self.den[r]
+        a = row[c]
+        if a == den:
+            return Fraction(1)
+        lead = Fraction(a, den)
+        if a < 0:
+            row = [-v for v in row]
+            a = -a
+        g = gcd(a, *row[c + 1:])
+        self.rows[r] = [v // g for v in row] if g > 1 else row
+        self.den[r] = a // g
+        return lead
+
+    def eliminate(self, i, r, c):
+        row, prow, dr = self.rows[i], self.rows[r], self.den[r]
+        f = row[c]
+        if dr == 1:
+            tail = [a - f * b for a, b in zip(row[c + 1:], prow[c + 1:])]
+            den = self.den[i]
+        else:
+            tail = [a * dr - f * b for a, b in zip(row[c + 1:], prow[c + 1:])]
+            den = self.den[i] * dr
+        g = gcd(den, *tail)
+        if g > 1:
+            tail = [v // g for v in tail]
+            den //= g
+        row[c:] = [0] + tail
+        self.den[i] = den
+        self.lead[i] = self._first(row, c + 1)
+
+    def unit(self, k, m):
+        vec = [0] * m
+        vec[k] = 1
+        return vec, 1
+
+    def solve(self, r, c, x, m):
+        terms = [(a, x[j]) for j, a in enumerate(self.rows[r][c + 1:], c + 1)
+                 if a]
+        if not terms:
+            return [0] * m, 1
+        common = lcm(*[d for _, (_, d) in terms])
+        acc = [0] * m
+        for a, (vec, d) in terms:
+            f = a * (common // d)
+            acc = [s - f * v for s, v in zip(acc, vec)]
+        den = self.den[r] * common
+        g = gcd(den, *acc)
+        if g > 1:
+            return [v // g for v in acc], den // g
+        return acc, den
+
+    def payloads(self, vec, m):
+        ints, den = vec
+        return [Fraction(v, den) for v in ints]
 
 
 # array typecode for each item size in bytes; big-endian hosts byteswap.
@@ -123,6 +222,7 @@ class PackedRows:
         return int.from_bytes(self._to_bytes(vals), "little")
 
     def values(self, x, start, m):
+        """Slots start .. start+m-1 of x, unreduced."""
         data = (x >> (start * self.w)).to_bytes(m * self.nbytes, "little")
         if self.code is None:
             nb = self.nbytes
@@ -176,7 +276,11 @@ class PackedRows:
     def unit(self, k, m):
         return 1 << (k * self.w)
 
-    def combine(self, terms, m):
+    def solve(self, r, c, x, m):
         p = self.p
-        acc = sum([(p - f) * x for f, x in terms])
+        tail = self.values(self.rows[r], c + 1, self.ncols - c - 1)
+        acc = sum([(p - f) * x[j] for j, f in enumerate(tail, c + 1) if f])
         return self.pack([v % p for v in self.values(acc, 0, m)])
+
+    def payloads(self, vec, m):
+        return self.values(vec, 0, m)

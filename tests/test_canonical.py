@@ -26,7 +26,6 @@ from centra import (
     jordan_block,
     jordan_form,
     make_spec,
-    normalize_partition,
     poly_at_matrix,
     prime_field,
     rational_function_field,
@@ -94,11 +93,6 @@ def test_segre_indexing_goldens():
         segre_indexing((2, 0))
     with pytest.raises(NonPositivePartError):
         segre_indexing(())
-
-
-def test_normalize_strips_zero_parts():
-    assert normalize_partition((3, 2, 0, 0)) == (3, 2)
-    assert segre_indexing(normalize_partition((1, 0))).alpha == (1,)
 
 
 def test_conjugate_partition():

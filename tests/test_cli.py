@@ -180,6 +180,8 @@ def test_repeat_invocations_are_byte_identical(capsys):
     (["det", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2"],
      "--input"),
     (["oracle", "--input", "/nonexistent/file.txt"], ""),
+    (["jordan", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "3,0,2"],
+     "bad part"),
 ])
 def test_usage_errors_exit_two(capsys, argv, needle):
     rc, out, err = _run(capsys, argv)

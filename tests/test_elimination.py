@@ -1,24 +1,41 @@
-"""GF(p) elimination against a plain Gauss-Jordan reference written here.
+"""Elimination against a plain Gauss-Jordan reference written here.
 
-rank, determinant, kernel_basis and inverse run on packed rows over GF(p);
-every result is compared with a list-of-residues Gauss-Jordan that shares
-no code with the package.  4294967291 is the largest prime below 2**32;
-its slots are wider than any array item once a row has two entries.
+rank, determinant, kernel_basis and inverse run on packed rows over GF(p)
+and on primitive integer rows over Q; every result is compared with a
+Gauss-Jordan over residues or Fractions that shares no code with the
+package.  p = 0 stands for Q.  4294967291 is the largest prime below
+2**32; its slots are wider than any array item once a row has two
+entries.  Q entries take denominators up to 10**6+3.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from centra import Matrix, SingularMatrixError, prime_field, sylvester_system
-from centra.rows import PackedRows
+from centra import (QQ, Matrix, SingularMatrixError, prime_field,
+                    sylvester_system)
+from centra.matrices import _forward
+from centra.rows import PackedRows, RationalRows
 
 PRIMES = (2, 3, 5, 4294967291)
+FIELDS = PRIMES + (pytest.param(0, id="q"),)
+Q_DENOMINATORS = (1, 1, 2, 3, 7, 10 ** 6 + 3)
+
+
+def _reduce(v, p):
+    """v as an element of GF(p), or of Q for p = 0."""
+    return v % p if p else Fraction(v)
+
+
+def _inverse(v, p):
+    return pow(v, p - 2, p) if p else 1 / v
 
 
 def _reference(rows, p):
     """(RREF rows, pivot columns, determinant if square) by Gauss-Jordan."""
-    a = [[v % p for v in r] for r in rows]
+    a = [[_reduce(v, p) for v in r] for r in rows]
     nrows, ncols = len(a), len(a[0])
     pivots, det = [], 1
     for c in range(ncols):
@@ -29,17 +46,17 @@ def _reference(rows, p):
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             det = -det
-        det = det * a[r][c] % p
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [v * inv % p for v in a[r]]
+        det = _reduce(det * a[r][c], p)
+        inv = _inverse(a[r][c], p)
+        a[r] = [_reduce(v * inv, p) for v in a[r]]
         for i in range(nrows):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+                a[i] = [_reduce(x - f * y, p) for x, y in zip(a[i], a[r])]
         pivots.append(c)
     if len(pivots) < nrows:
         det = 0
-    return a[:len(pivots)], pivots, det % p
+    return a[:len(pivots)], pivots, _reduce(det, p)
 
 
 def _reference_kernel(rows, p):
@@ -52,7 +69,7 @@ def _reference_kernel(rows, p):
         vec = [0] * ncols
         vec[f] = 1
         for c, row in zip(pivots, rref):
-            vec[c] = -row[f] % p
+            vec[c] = _reduce(-row[f], p)
         out.append(vec)
     return out
 
@@ -62,7 +79,7 @@ def _values(m):
 
 
 def _check(rows, p):
-    field = prime_field(p)
+    field = prime_field(p) if p else QQ
     m = Matrix(field, rows)
     _, pivots, det = _reference(rows, p)
     assert m.rank() == len(pivots)
@@ -81,23 +98,38 @@ def _check(rows, p):
     assert _values(m.inverse()) == [r[n:] for r in aug]
 
 
+def _entry(rng, p):
+    if p:
+        return rng.randrange(p)
+    return Fraction(rng.randint(-9, 9), rng.choice(Q_DENOMINATORS))
+
+
+def _nonzero(rng, p):
+    if p:
+        return rng.randrange(1, p)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                    rng.choice(Q_DENOMINATORS))
+
+
 def _random_rows(rng, p, nrows, ncols, fill=1.0):
-    return [[rng.randrange(p) if rng.random() < fill else 0
+    return [[_entry(rng, p) if rng.random() < fill else 0
              for _ in range(ncols)] for _ in range(nrows)]
 
 
 def _low_rank_rows(rng, p, nrows, ncols, rank):
     left = _random_rows(rng, p, nrows, rank)
     right = _random_rows(rng, p, rank, ncols)
-    return [[sum(a * b for a, b in zip(lr, col)) % p for col in zip(*right)]
-            for lr in left]
+    return [[_reduce(sum(a * b for a, b in zip(lr, col)), p)
+             for col in zip(*right)] for lr in left]
 
 
 def _shapes(rng, p):
+    # -1 in GF(p); in Q a negative lead over the largest denominator.
+    minus = p - 1 if p else Fraction(-1, Q_DENOMINATORS[-1])
     yield [[0] * 4 for _ in range(3)]
     yield [[0]]
-    yield [[rng.randrange(1, p)]]
-    yield [[p - 1]]
+    yield [[_nonzero(rng, p)]]
+    yield [[minus]]
     yield _random_rows(rng, p, 7, 3)
     yield _random_rows(rng, p, 3, 7)
     yield _random_rows(rng, p, 6, 6)
@@ -105,13 +137,16 @@ def _shapes(rng, p):
     yield _random_rows(rng, p, 12, 20, fill=0.15)
     yield _low_rank_rows(rng, p, 8, 8, 5)
     yield _low_rank_rows(rng, p, 10, 6, 3)
-    yield [[p - 1] * 8 for _ in range(8)]
+    yield [[minus] * 8 for _ in range(8)]
     yield _random_rows(rng, p, 30, 40)
     # A singular square matrix whose first column is zero.
     yield [[0] + r for r in _random_rows(rng, p, 5, 4)]
+    # Every lead negative, also after elimination.
+    yield [[-abs(_nonzero(rng, p)) if j <= i else _entry(rng, p)
+            for j in range(5)] for i in range(5)]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", FIELDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_matches_reference(p, seed):
     rng = random.Random(f"elim:{p}:{seed}")
@@ -119,14 +154,14 @@ def test_matches_reference(p, seed):
         _check(rows, p)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", FIELDS)
 @pytest.mark.parametrize("n", (3, 5))
 def test_sylvester_systems_match_reference(p, n):
-    field = prime_field(p)
+    field = prime_field(p) if p else QQ
     rng = random.Random(f"sylvester:{p}:{n}")
-    lower = [[int(i == j) if j >= i else rng.randrange(p) for j in range(n)]
+    lower = [[int(i == j) if j >= i else _entry(rng, p) for j in range(n)]
              for i in range(n)]
-    upper = [[int(i == j) if j <= i else rng.randrange(p) for j in range(n)]
+    upper = [[int(i == j) if j <= i else _entry(rng, p) for j in range(n)]
              for i in range(n)]
     q = Matrix(field, lower) * Matrix(field, upper)
     # Dense, and similar to diag(1, 1, 2, 2, ...), so the kernel is large.
@@ -135,6 +170,21 @@ def test_sylvester_systems_match_reference(p, n):
     dense = q * diag * q.inverse()
     for m in (Matrix(field, _random_rows(rng, p, n, n)), dense):
         _check(_values(sylvester_system(m)), p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_rows_stay_primitive(seed):
+    rng = random.Random(f"primitive:{seed}")
+    for rows in _shapes(rng, 0):
+        store = RationalRows([[Fraction(v) for v in r] for r in rows])
+        pivots, _, _ = _forward(store, QQ)
+        for ints, den, lead in zip(store.rows, store.den, store.lead):
+            assert den > 0 and gcd(*ints, den) == 1
+            assert not any(ints[:lead])
+            assert lead == store.ncols or ints[lead]
+        # Normalized pivot rows lead with 1.
+        for r, c in enumerate(pivots):
+            assert store.rows[r][c] == store.den[r]
 
 
 @pytest.mark.parametrize("p", PRIMES)
