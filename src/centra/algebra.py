@@ -1,19 +1,25 @@
 """Exact scalar and polynomial arithmetic over GF(p), Q and GF(p)(t).
 
-A Scalar is an immutable wrapper around a canonical payload:
+Every field element is a canonical payload:
 
   GF(p)     residue int in [0, p), p prime, p < 2**32
   Q         fractions.Fraction in lowest terms
-  GF(p)(t)  pair (num, den) of Poly over GF(p) in the variable t,
-            coprime, den monic and nonzero
+  GF(p)(t)  pair (num, den) of GF(p)[t] polynomials as residue-int
+            tuples, coprime, den monic and nonzero
 
-Field objects carry the payload arithmetic; Scalars expose it through the
-usual operators.  All operations are pure and return canonical reduced
-values, so equality and hashing are structural.
+Field objects carry the payload arithmetic, and all of it is pure and
+canonical, so equality and hashing are structural.  A polynomial over a
+field is an ascending tuple of its payloads with trailing zeros stripped;
+the field's poly_* kernels run on such tuples, so a GF(p)[x] polynomial,
+and each half of a GF(p)(t) payload, is a tuple of ints.  Poly wraps one
+tuple with its field; the zero polynomial is the empty tuple and its
+degree is the float('-inf') sentinel, which keeps gcd and degree
+comparisons free of special cases.
 
-Polynomials are ascending coefficient tuples with trailing zeros stripped;
-the zero polynomial is the empty tuple and its degree is the float('-inf')
-sentinel, which keeps gcd and degree comparisons free of special cases.
+A Scalar is an immutable wrapper around one payload that exposes the
+arithmetic through the usual operators.  It is the boundary type: user
+code, Poly.coeff(), parsing and formatting see Scalars; Poly coefficients
+and GF(p)(t) payloads never hold one.
 
 Text syntax.  Field selectors: ``gf:5``, ``q``, ``gft:2`` (= GF(2)(t)).
 Polynomial terms: ``k``, ``x``, ``x^e`` with an optional ``*`` between
@@ -118,9 +124,6 @@ class Scalar:
     def is_zero(self):
         return self.value == self.field._zero_payload
 
-    def is_one(self):
-        return self.value == self.field._one_payload
-
     def __bool__(self):
         return self.value != self.field._zero_payload
 
@@ -145,9 +148,11 @@ class Field:
 
     Subclasses define the payload representation and the _-prefixed
     payload arithmetic; user code works with Scalars.  The row_* kernels
-    run that arithmetic over whole payload rows for Matrix.  They skip zero
-    terms, which are costly in Q and GF(p)(t), by comparing with
-    _zero_payload: a GF(p)(t) payload is a tuple and always truthy.
+    run that arithmetic over whole payload rows for Matrix, and the poly_*
+    kernels over ascending payload tuples with no trailing zero for Poly
+    and the GF(p)(t) payloads.  Both skip zero terms, which are costly in
+    Q and GF(p)(t), by comparing with _zero_payload: a GF(p)(t) payload is
+    a tuple and always truthy.
 
     row_store() makes the working rows of one elimination for the single
     routine in matrices: payload lists (rows.PayloadRows) here, used by
@@ -232,6 +237,84 @@ class Field:
     def row_store(self, rows):
         """Working rows for one elimination over this field."""
         return PayloadRows(self, rows)
+
+    def _strip(self, cs):
+        """The list cs as a polynomial tuple: trailing zeros dropped."""
+        zero = self._zero_payload
+        while cs and cs[-1] == zero:
+            cs.pop()
+        return tuple(cs)
+
+    def poly_add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        add = self._add
+        return self._strip([add(x, y) for x, y in zip(a, b)] +
+                           list(a[len(b):]))
+
+    def poly_neg(self, a):
+        return tuple(map(self._neg, a))
+
+    def poly_sub(self, a, b):
+        return self.poly_add(a, self.poly_neg(b))
+
+    def poly_scale(self, a, c):
+        """a times the nonzero payload c."""
+        mul = self._mul
+        return tuple([mul(c, x) for x in a])
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return ()
+        add, mul, zero = self._add, self._mul, self._zero_payload
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b, i):
+                    out[j] = add(out[j], mul(x, y))
+        return tuple(out)
+
+    def poly_divmod(self, a, b):
+        """(quotient, remainder) by schoolbook long division."""
+        if not b:
+            raise DivisionByZeroError("polynomial division by zero")
+        dn = len(b) - 1
+        if len(a) <= dn:
+            return (), a
+        sub, mul, zero = self._sub, self._mul, self._zero_payload
+        inv = self._inv(b[-1])
+        rem = list(a)
+        quot = [zero] * (len(a) - dn)
+        for k in range(len(quot) - 1, -1, -1):
+            f = mul(rem[k + dn], inv)
+            if f != zero:
+                quot[k] = f
+                for i in range(dn):
+                    rem[k + i] = sub(rem[k + i], mul(f, b[i]))
+        return tuple(quot), self._strip(rem[:dn])
+
+    def poly_gcd(self, a, b):
+        """Monic gcd by the Euclidean algorithm."""
+        if not a and not b:
+            raise BothZeroError("gcd(0, 0) is undefined")
+        while b:
+            a, b = b, self.poly_divmod(a, b)[1]
+        lead = a[-1]
+        return a if lead == self._one_payload else self.poly_scale(
+            a, self._inv(lead))
+
+    def poly_powmod(self, a, e, m):
+        """a**e reduced mod m, by binary exponentiation."""
+        mul, divmod_ = self.poly_mul, self.poly_divmod
+        result = None
+        a = divmod_(a, m)[1]
+        while e:
+            if e & 1:
+                result = a if result is None else divmod_(mul(result, a), m)[1]
+            e >>= 1
+            if e:
+                a = divmod_(mul(a, a), m)[1]
+        return (self._one_payload,) if result is None else result
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.name == self.name
@@ -404,97 +487,88 @@ class RationalFunctionField(Field):
         self.base = prime_field(p)
         self.name = f"gft:{p}"
         self.characteristic = p
-        zero = ()
-        one = (self.base.one,)
-        self._zero_payload = (zero, one)
-        self._one_payload = (one, one)
+        self._zero_payload = ((), (1,))
+        self._one_payload = ((1,), (1,))
 
-    # Payloads are pairs of ascending GF(p) coefficient tuples wrapped in
-    # Poly at the boundary of each operation; den monic, num/den coprime.
-
-    def _num(self, a):
-        return Poly(self.base, a[0])
-
-    def _den(self, a):
-        return Poly(self.base, a[1])
+    # Payloads are pairs of residue-int tuples run through the base
+    # field's poly_* kernels; den monic, num/den coprime.  A constant den
+    # needs no gcd.
 
     def _reduce(self, num, den):
-        if den.is_zero():
+        if not den:
             raise DivisionByZeroError(f"zero denominator in {self.name}")
-        if num.is_zero():
+        if not num:
             return self._zero_payload
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.div_exact(g)
-            den = den.div_exact(g)
-        lead = den.coeffs[-1]
-        if not lead.is_one():
-            inv = lead.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return (num.coeffs, den.coeffs)
+        base = self.base
+        if len(den) > 1:
+            g = base.poly_gcd(num, den)
+            if len(g) > 1:
+                num = base.poly_divmod(num, g)[0]
+                den = base.poly_divmod(den, g)[0]
+        lead = den[-1]
+        if lead != 1:
+            inv = base._inv(lead)
+            num = base.poly_scale(num, inv)
+            den = base.poly_scale(den, inv)
+        return (num, den)
 
     def _from_int(self, k):
-        c = self.base.scalar(k)
-        num = (c,) if c else ()
-        return (num, (self.base.one,))
+        c = k % self.base.p
+        return ((c,) if c else (), (1,))
 
     def _add(self, a, b):
-        n1, d1 = self._num(a), self._den(a)
-        n2, d2 = self._num(b), self._den(b)
-        return self._reduce(n1 * d2 + n2 * d1, d1 * d2)
+        (n1, d1), (n2, d2) = a, b
+        base = self.base
+        if d1 == d2:
+            return self._reduce(base.poly_add(n1, n2), d1)
+        return self._reduce(base.poly_add(base.poly_mul(n1, d2),
+                                          base.poly_mul(n2, d1)),
+                            base.poly_mul(d1, d2))
 
     def _sub(self, a, b):
-        n1, d1 = self._num(a), self._den(a)
-        n2, d2 = self._num(b), self._den(b)
-        return self._reduce(n1 * d2 - n2 * d1, d1 * d2)
+        return self._add(a, self._neg(b))
 
     def _mul(self, a, b):
-        return self._reduce(self._num(a) * self._num(b),
-                            self._den(a) * self._den(b))
+        mul = self.base.poly_mul
+        return self._reduce(mul(a[0], b[0]), mul(a[1], b[1]))
 
     def _neg(self, a):
-        return (tuple(-c for c in a[0]), a[1])
+        return (self.base.poly_neg(a[0]), a[1])
 
     def _inv(self, a):
         if not a[0]:
             raise DivisionByZeroError(f"inverse of 0 in {self.name}")
-        return self._reduce(self._den(a), self._num(a))
+        return self._reduce(a[1], a[0])
 
     def _div(self, a, b):
         if not b[0]:
             raise DivisionByZeroError(f"division by 0 in {self.name}")
-        return self._reduce(self._num(a) * self._den(b),
-                            self._den(a) * self._num(b))
+        return self._mul(a, self._inv(b))
 
     def _parse(self, text):
         text = "".join(text.split())
         if not text:
             raise ParseError(f"empty {self.name} literal")
         cut = _toplevel_slash(text)
-        if cut is None:
-            num = Poly.parse(_strip_parens(text), self.base, var="t")
-            return self._reduce(num, Poly.one(self.base))
-        num = Poly.parse(_strip_parens(text[:cut]), self.base, var="t")
-        den = Poly.parse(_strip_parens(text[cut + 1:]), self.base, var="t")
+        halves = (text, "1") if cut is None else (text[:cut], text[cut + 1:])
+        num, den = (Poly.parse(_strip_parens(h), self.base, var="t").coeffs
+                    for h in halves)
         return self._reduce(num, den)
 
     def _format(self, a):
-        num, den = self._num(a), self._den(a)
-        if num.is_zero():
+        num, den = a
+        if not num:
             return "0"
-        if den.degree == 0:
-            return poly_text(num, "t")
-        return f"({poly_text(num, 't')})/({poly_text(den, 't')})"
+        if len(den) == 1:
+            return poly_text(self.base, num, "t")
+        return (f"({poly_text(self.base, num, 't')})/"
+                f"({poly_text(self.base, den, 't')})")
 
     def _random(self, rng):
-        num = Poly(self.base,
-                   [rng.randrange(self.base.p) for _ in range(rng.randint(0, 3))])
-        if rng.random() < 0.5:
-            den = Poly.one(self.base)
-        else:
-            den = Poly(self.base, [rng.randrange(self.base.p), 1])
-        return self._reduce(num, den)
+        p = self.base.p
+        num = [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+        den = (1,) if rng.random() < 0.5 else (rng.randrange(p), 1)
+        return self._reduce(self.base._strip(num), den)
 
 
 _PRIME_FIELDS = {}
@@ -565,32 +639,39 @@ def _strip_parens(text):
 
 
 class Poly:
-    """Univariate polynomial with ascending Scalar coefficients."""
+    """Univariate polynomial: a field and an ascending tuple of payloads.
+
+    coeffs holds the field's payloads (residue ints over GF(p)) with no
+    trailing zero, and every operation runs the field's poly_* kernels on
+    it.  Scalars appear only in coeff() and in parsing and formatting.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [c if isinstance(c, Scalar) else field.scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        """Coerce every coefficient (Scalar, int, literal) into field."""
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = field._strip([field.scalar(c).value for c in coeffs])
+
+    @classmethod
+    def _make(cls, field, coeffs):
+        """Unchecked constructor from a kernel's payload tuple."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._make(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one,))
+        return cls._make(field, (field._one_payload,))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero, field.one))
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (field.scalar(c),))
+        return cls._make(field, (field._zero_payload, field._one_payload))
 
     @property
     def degree(self):
@@ -600,11 +681,11 @@ class Poly:
         return not self.coeffs
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
+        return bool(self.coeffs) and self.coeffs[-1] == self.field._one_payload
 
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+            return Scalar(self.field, self.coeffs[i])
         return self.field.zero
 
     def _check(self, other):
@@ -617,120 +698,54 @@ class Poly:
                 f"mixed fields {self.field.name} and {other.field.name}")
         return other
 
-    def __add__(self, other):
+    def _apply(self, kernel, other, swap=False):
+        """kernel on the two coefficient tuples, other's first if swap."""
         other = self._check(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        a, b = (other, self) if swap else (self, other)
+        return Poly._make(self.field, kernel(a.coeffs, b.coeffs))
+
+    def __add__(self, other):
+        return self._apply(self.field.poly_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._apply(self.field.poly_sub, other)
 
     def __rsub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return self._apply(self.field.poly_sub, other, swap=True)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._make(self.field, self.field.poly_neg(self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(self.field.scalar(other))
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return self._apply(self.field.poly_mul, other)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        return Poly(self.field, [c * a for a in self.coeffs])
 
     def __divmod__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZeroError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs)
-        if len(rem) < dn:
-            return Poly.zero(self.field), self
-        inv_lead = other.coeffs[-1].inverse()
-        quot = [self.field.zero] * (len(rem) - dn + 1)
-        for k in range(len(rem) - dn, -1, -1):
-            f = rem[k + dn - 1] * inv_lead
-            if not f:
-                continue
-            quot[k] = f
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - f * b
-        return Poly(self.field, quot), Poly(self.field, rem)
+        q, r = self.field.poly_divmod(self.coeffs, other.coeffs)
+        return Poly._make(self.field, q), Poly._make(self.field, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def div_exact(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ParseError("inexact polynomial division")
-        return q
-
-    def monic(self):
-        if self.is_zero():
-            raise DivisionByZeroError("monic of the zero polynomial")
-        lead = self.coeffs[-1]
-        if lead.is_one():
-            return self
-        return self.scale(lead.inverse())
-
     def derivative(self):
         field = self.field
-        return Poly(field, [field.scalar(i) * c
-                            for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x):
-        x = self.field.scalar(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Poly._make(field, field._strip(
+            [field._mul(field._from_int(i), c)
+             for i, c in enumerate(self.coeffs)][1:]))
 
     def pow_mod(self, e, modulus):
         """self**e reduced mod modulus, by binary exponentiation."""
-        result = Poly.one(self.field)
-        base = self % modulus
-        while e > 0:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        modulus = self._check(modulus)
+        return Poly._make(self.field, self.field.poly_powmod(
+            self.coeffs, e, modulus.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -741,10 +756,10 @@ class Poly:
         return hash((self.field.name, self.coeffs))
 
     def __str__(self):
-        return poly_text(self, "x")
+        return poly_text(self.field, self.coeffs, "x")
 
     def __repr__(self):
-        return f"<{poly_text(self, 'x')} over {self.field.name}>"
+        return f"<{self} over {self.field.name}>"
 
     @classmethod
     def parse(cls, text, field, var="x"):
@@ -824,23 +839,24 @@ def _parse_term(term, field, var):
     return e, coeff
 
 
-def poly_text(p, var):
-    """Render a polynomial in the term syntax, highest degree first."""
-    if p.is_zero():
+def poly_text(field, coeffs, var):
+    """Render a payload tuple in the term syntax, highest degree first."""
+    if not coeffs:
         return "0"
+    zero, one = field._zero_payload, field._one_payload
     parts = []
-    for e in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[e]
-        if not c:
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == zero:
             continue
-        cs = str(c)
+        cs = field._format(c)
         if _needs_parens(cs):
             cs = f"({cs})"
         if e == 0:
             parts.append(cs)
         else:
             v = var if e == 1 else f"{var}^{e}"
-            parts.append(v if c.is_one() else f"{cs}*{v}")
+            parts.append(v if c == one else f"{cs}*{v}")
     text = "+".join(parts)
     return text.replace("+-", "-")
 
@@ -859,33 +875,17 @@ def _needs_parens(text):
 
 def poly_gcd(a, b):
     """Monic gcd by the Euclidean algorithm."""
-    if a.is_zero() and b.is_zero():
-        raise BothZeroError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    b = a._check(b)
+    return Poly._make(a.field, a.field.poly_gcd(a.coeffs, b.coeffs))
 
 
 def is_irreducible(p, assume_irreducible=False):
     """Exact test over GF(q); taken on assertion over Q and GF(p)(t).
 
-    Over a prime field this runs the deterministic distinct-degree
-    criterion: p of degree n is irreducible iff x**(q**n) == x mod p and
-    gcd(x**(q**(n/d)) - x, p) = 1 for every prime divisor d of n.
+    Degree 1 is irreducible over every field.  Over a prime field this
+    runs the deterministic distinct-degree criterion on the residue-int
+    coefficient tuple: p of degree n is irreducible iff x**(q**n) == x
+    mod p and gcd(x**(q**(n/d)) - x, p) = 1 for every prime divisor d of n.
 
     Over Q and GF(p)(t) no factorization is attempted.  A nontrivial
     gcd(p, p') proves reducibility and returns False; otherwise the caller
@@ -896,23 +896,17 @@ def is_irreducible(p, assume_irreducible=False):
     n = p.degree
     if n < 1:
         raise DegreeZeroError(f"degree must be at least 1: {p!r}")
-    field = p.field
-    if isinstance(field, PrimeField):
-        q = field.p
-        x = Poly.x(field)
-        frob = x
-        powers = {0: x}
-        for j in range(1, n + 1):
-            frob = frob.pow_mod(q, p)
-            powers[j] = frob
-        if powers[n] != x % p:
-            return False
-        for d in _prime_divisors(n):
-            if poly_gcd(powers[n // d] - x, p).degree != 0:
-                return False
-        return True
     if n == 1:
         return True
+    field = p.field
+    if isinstance(field, PrimeField):
+        f, x = p.coeffs, (0, 1)
+        frob = [x]
+        for _ in range(n):
+            frob.append(field.poly_powmod(frob[-1], field.p, f))
+        return frob[n] == x and all(
+            len(field.poly_gcd(field.poly_sub(frob[n // d], x), f)) == 1
+            for d in range(2, n + 1) if n % d == 0 and _is_prime(d))
     d = p.derivative()
     if not d.is_zero():
         g = poly_gcd(p, d)

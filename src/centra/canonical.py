@@ -162,13 +162,12 @@ def companion_matrix(p):
     if s < 1:
         raise DegreeZeroError("companion of a constant")
     field = p.field
-    z = field.zero
-    rows = [[z] * s for _ in range(s)]
+    rows = [[field._zero_payload] * s for _ in range(s)]
     for i in range(1, s):
-        rows[i][i - 1] = field.one
+        rows[i][i - 1] = field._one_payload
     for i in range(s):
-        rows[i][s - 1] = -p.coeff(i)
-    return Matrix(field, rows)
+        rows[i][s - 1] = field._neg(p.coeffs[i])
+    return Matrix._from_payloads(field, rows)
 
 
 def corner_matrix(field, s):

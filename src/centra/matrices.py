@@ -1,10 +1,11 @@
 """Dense exact matrices over the supported fields.
 
 A Matrix stores the field's payloads, not Scalars: residue ints for GF(p),
-Fractions for Q and (num, den) pairs for GF(p)(t), row-major in tuples and
-immutable after construction.  Arithmetic runs whole rows through the
-field's row kernels (Field.row_add, row_scale, row_matmul, ...), so no
-entry is boxed on the way.  Scalars appear only at the boundary:
+Fractions for Q and, for GF(p)(t), (num, den) pairs of residue-int tuples
+(den monic, coprime to num), row-major in tuples and immutable after
+construction.  Arithmetic runs whole rows through the field's row
+kernels (Field.row_add, row_scale, row_matmul, ...), so no entry is
+boxed on the way.  Scalars appear only at the boundary:
 indexing, row(), flat(), column_values(), determinant() and parsing or
 formatting.  Code in this package that already holds payload rows uses
 the unchecked Matrix._from_payloads.
@@ -292,8 +293,8 @@ def poly_at_matrix(p, a):
     n = a.rows
     result = Matrix.zeros(field, n, n)
     ident = Matrix.identity(field, n)
-    for c in reversed(p.coeffs):
-        result = result * a + ident * c
+    for i in reversed(range(len(p.coeffs))):
+        result = result * a + ident * p.coeff(i)
     return result
 
 

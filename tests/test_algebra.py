@@ -76,6 +76,20 @@ def test_field_mismatch():
         a * QQ.one
 
 
+def test_poly_coerces_coefficients_into_its_field():
+    f3, f5 = prime_field(3), prime_field(5)
+    with pytest.raises(FieldMismatchError):
+        Poly(f5, [f3.scalar(2), 1])
+    with pytest.raises(FieldMismatchError):
+        Poly(f5, [1]) + Poly(f3, [1])
+    p = Poly(f5, [f5.scalar(7), "3", 1, 0])
+    assert p.coeffs == (2, 3, 1) and p.coeff(0) == f5.scalar(2)
+    ft = rational_function_field(2)
+    q = Poly.parse("(t+1)*x^2+1/t", ft)
+    assert not any(isinstance(c, Scalar) for c in q.coeffs)
+    assert q.coeffs[0] == ((1,), (0, 1))
+
+
 def test_scalar_parsing_and_text():
     f7 = prime_field(7)
     assert f7.scalar("12") == f7.scalar(5)
@@ -98,12 +112,9 @@ def test_rational_function_reduction_invariants():
     rng = random.Random(99)
     for _ in range(200):
         a = ft.random(rng)
-        num, den = a.value
-        g = poly_gcd(ft._num(a.value), ft._den(a.value)) \
-            if num or den else None
-        if g is not None:
-            assert g.degree == 0
-        assert ft._den(a.value).is_monic()
+        num, den = (Poly(ft.base, half) for half in a.value)
+        assert poly_gcd(num, den).degree == 0
+        assert den.is_monic()
 
 
 def test_poly_parse_round_trip():
@@ -209,12 +220,25 @@ def _irreducible_by_search(p):
     return True
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_irreducibility_matches_exhaustive_search(q):
     field = prime_field(q)
-    for degree in range(1, 5):
+    for degree in range(1, 4 if q == 7 else 5):
         for p in _all_monic(field, degree):
             assert is_irreducible(p) == _irreducible_by_search(p), str(p)
+
+
+@pytest.mark.parametrize("q", [4294967291, 10 ** 9 + 7])
+def test_irreducibility_wide_prime_quadratics(q):
+    """x^2 - a factors iff a is a square, which Euler's criterion decides."""
+    field = prime_field(q)
+    seen = set()
+    for a in range(2, 100):
+        square = pow(a, (q - 1) // 2, q) == 1
+        if square not in seen:
+            seen.add(square)
+            assert is_irreducible(Poly(field, [-a, 0, 1])) is not square, a
+    assert seen == {True, False}
 
 
 def test_irreducibility_examples():

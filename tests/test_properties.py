@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
+from centra import rational_function_field  # noqa: E402
 from test_elimination import _check  # noqa: E402
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "centra-hypothesis")
@@ -41,3 +42,48 @@ def _q_matrices(draw):
 def test_q_elimination_matches_reference(rows):
     """rank, determinant, kernel_basis and inverse over Q."""
     _check(rows, 0)
+
+
+def _gcd_degree(a, b, p):
+    """Degree of gcd(a, b) over GF(p), by Euclid on ascending int lists."""
+    a, b = list(a), list(b)
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * y) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _ratfuncs(p):
+    """GF(p)(t) elements n/d built from drawn residue coefficients."""
+    field = rational_function_field(p)
+    t = field.scalar("t")
+    polys = st.lists(st.integers(0, p - 1), max_size=4).map(
+        lambda cs: sum((c * t ** i for i, c in enumerate(cs)), field.zero))
+    return st.tuples(polys, polys.filter(bool)).map(lambda nd: nd[0] / nd[1])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda p: st.tuples(st.just(p), _ratfuncs(p), _ratfuncs(p), _ratfuncs(p))))
+def test_rational_function_arithmetic(drawn):
+    """Field laws, canonical payloads and text round trip in GF(p)(t)."""
+    p, a, b, c = drawn
+    field = a.field
+    assert a * (b + c) == a * b + a * c
+    if a:
+        assert a * a.inverse() == field.one
+    if b:
+        assert (a / b) * b == a
+    for x in (a, b, c, a * b - c, a + b * c):
+        num, den = x.value
+        assert type(num) is tuple and type(den) is tuple
+        assert all(type(v) is int and 0 <= v < p for v in num + den)  # no Scalar
+        assert den and den[-1] == 1 and (not num or num[-1])
+        assert _gcd_degree(num, den, p) == 0
+        assert field.scalar(str(x)) == x
