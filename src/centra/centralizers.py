@@ -31,10 +31,7 @@ from typing import NamedTuple
 from .canonical import (
     E_KIND,
     companion_matrix,
-    corner_matrix,
-    jordan_block,
     jordan_form,
-    make_spec,
     segre_indexing,
     weyr_form,
     weyr_permutation,
@@ -176,32 +173,6 @@ def _c_powers_and_tildes(p):
         powers.append(m)
         m = m * c
     return powers, [last_row_toeplitz(z) for z in powers]
-
-
-def block_centralizer_basis(p, ell, kind=E_KIND):
-    """Basis of the commutant of a single generalized block.
-
-    One element per (slot k, power e): C^e on block diagonal k, and for
-    the corner kind its tilde on the next diagonal down (the chain stops
-    there because a tilde has zero last row).  Cardinality ell*s.
-    """
-    s = p.degree
-    powers, tildes = _c_powers_and_tildes(p)
-    chained = kind == E_KIND
-    elems = []
-    layout = []
-    for k in range(1, ell + 1):
-        for e in range(1, s + 1):
-            placed = {}
-            for i in range(k - 1, ell):
-                placed[(i, i - k + 1)] = powers[e - 1]
-            if chained:
-                for i in range(k, ell):
-                    placed[(i, i - k)] = tildes[e - 1]
-            elems.append(place_blocks(p.field, s, ell, placed))
-            layout.append(ParamSlot(1, 1, k, e))
-    return CentralizerBasis(jordan_block(p, ell, kind), tuple(elems),
-                            tuple(layout))
 
 
 def _cell_slot_offsets(alpha_i, alpha_j, k):

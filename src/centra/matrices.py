@@ -10,6 +10,12 @@ indexing, row(), flat(), column_values(), determinant() and parsing or
 formatting.  Code in this package that already holds payload rows uses
 the unchecked Matrix._from_payloads.
 
+Row tuples may be shared within a matrix and between matrices, and must
+never be mutated: place_blocks gives every row that no block reaches
+one zero row, conjugate_by_block_permutation remaps each distinct row
+object once and keeps the sharing, and matrix_to_text formats each
+distinct row object once.
+
 One forward routine (_forward) and one kernel routine (_kernel_vectors)
 serve every field and every caller (rank, determinant, kernel_basis,
 inverse).  They drive a row store that the field alone picks
@@ -36,6 +42,8 @@ whitespace-separated entries in the field's scalar syntax.  The JSON form
 is ``{"rows": r, "cols": c, "field": "gf:3", "entries": [[...], ...]}``
 with integer entries for GF(p) and scalar-syntax strings otherwise.
 """
+
+from operator import itemgetter
 
 from .algebra import PrimeField, Scalar, field_from_name
 from .errors import (
@@ -364,17 +372,18 @@ def assemble_blocks(grid, layout=None):
 
 
 def place_blocks(field, s, nblocks, placed):
-    """The (nblocks*s)^2 matrix of s x s blocks {(bi, bj): block}, else 0."""
-    zero = Matrix.zeros(field, s, s)
-    rows = []
-    for bi in range(nblocks):
-        block_row = [placed.get((bi, bj), zero)._rows
-                     for bj in range(nblocks)]
-        for i in range(s):
-            line = []
-            for blk in block_row:
-                line.extend(blk[i])
-            rows.append(line)
+    """The (nblocks*s)^2 matrix of s x s blocks {(bi, bj): block}, else 0.
+
+    Rows that no block reaches share one zero row, so the work follows
+    the placed blocks, not nblocks^2.
+    """
+    zero = (field._zero_payload,) * (nblocks * s)
+    rows = [zero] * (nblocks * s)
+    for (bi, bj), block in placed.items():
+        for i, brow in enumerate(block._rows, bi * s):
+            if rows[i] is zero:
+                rows[i] = list(zero)
+            rows[i][bj * s:bj * s + s] = brow
     return Matrix._from_payloads(field, rows)
 
 
@@ -392,6 +401,22 @@ def extract_blocks(m, layout):
                           for i in range(rc[bi], rc[bi + 1])]))
         grid.append(row)
     return grid
+
+
+def _once_per_row(fn, rows):
+    """[fn(row) for row in rows], calling fn once per distinct row object.
+
+    Keyed by identity, not value: shared rows are what place_blocks
+    builds, and hashing a row of Fractions costs more than formatting it.
+    """
+    done = {}
+    out = []
+    for r in rows:
+        key = id(r)
+        if key not in done:
+            done[key] = fn(r)
+        out.append(done[key])
+    return out
 
 
 def _check_block_perm(n, perm, s):
@@ -413,10 +438,12 @@ def conjugate_by_block_permutation(a, perm, s):
     if not a.is_square():
         raise NotSquareError("conjugation of a nonsquare matrix")
     _check_block_perm(a.rows, perm, s)
+    if a.rows == 1:  # the identity; itemgetter(0) would return no tuple
+        return a
     src = [perm[i // s] * s + i % s for i in range(a.rows)]
-    rows = a._rows
+    pick = itemgetter(*src)
     return Matrix._from_payloads(a.field,
-                                 [[rows[si][sj] for sj in src] for si in src])
+                                 _once_per_row(pick, pick(a._rows)))
 
 
 def block_permutation_matrix(field, perm, s):
@@ -432,9 +459,8 @@ def block_permutation_matrix(field, perm, s):
 
 def matrix_to_text(m):
     fmt = m.field._format
-    lines = [f"{m.rows} {m.cols} {m.field.name}"]
-    lines.extend(" ".join(map(fmt, r)) for r in m._rows)
-    return "\n".join(lines)
+    lines = _once_per_row(lambda r: " ".join(map(fmt, r)), m._rows)
+    return "\n".join([f"{m.rows} {m.cols} {m.field.name}", *lines])
 
 
 def matrix_from_text(text):

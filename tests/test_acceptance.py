@@ -14,7 +14,6 @@ from centra import (
     FIRST_KIND,
     Matrix,
     Poly,
-    block_centralizer_basis,
     centralizer_dimension,
     commutant_dimension,
     companion_matrix,
@@ -144,7 +143,7 @@ def test_criterion_02_single_block_basis():
         p = Poly.parse(text, prime_field(q))
         for ell in range(1, 5):
             cases += 1
-            basis = block_centralizer_basis(p, ell)
+            basis = jordan_centralizer_basis(make_spec(p, (ell,)))
             g = jordan_block(p, ell, E_KIND)
             if basis.dim != ell * s:
                 ok = False

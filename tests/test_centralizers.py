@@ -16,7 +16,6 @@ from centra import (
     ParamSlot,
     Poly,
     ShapeMismatchError,
-    block_centralizer_basis,
     centralizer_dimension,
     commutant_dimension,
     companion_centralizer_basis,
@@ -228,7 +227,7 @@ def test_corner_coupling_solutions():
 def test_single_block_basis_scalar_case():
     # s = 1 reduces to lower triangular Toeplitz in the shift powers
     p = Poly.parse("x+3", F5)
-    basis = block_centralizer_basis(p, 3)
+    basis = jordan_centralizer_basis(make_spec(p, (3,)))
     shift = Matrix(F5, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     assert basis.elements == (Matrix.identity(F5, 3), shift, shift * shift)
 
@@ -238,7 +237,7 @@ def test_single_block_basis_properties(q):
     for s in (1, 2, 3):
         p = _poly(q, s)
         for ell in range(1, 5):
-            basis = block_centralizer_basis(p, ell)
+            basis = jordan_centralizer_basis(make_spec(p, (ell,)))
             g = jordan_block(p, ell, E_KIND)
             assert basis.generator == g
             assert basis.dim == ell * s
@@ -253,7 +252,7 @@ def test_single_block_basis_properties(q):
 def test_single_block_basis_matches_oracle():
     for q, s, ell in ((2, 1, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2)):
         p = _poly(q, s)
-        assert block_centralizer_basis(p, ell).dim == \
+        assert jordan_centralizer_basis(make_spec(p, (ell,))).dim == \
             commutant_dimension(jordan_block(p, ell, E_KIND))
 
 

@@ -29,6 +29,7 @@ from centra import (
     prime_field,
     rational_function_field,
 )
+from centra.matrices import place_blocks
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -243,6 +244,36 @@ def test_blocks_round_trip():
         assemble_blocks([[Matrix.zeros(F5, 2, 2), Matrix.zeros(F5, 1, 2)]])
 
 
+def _dense_placement(field, s, nblocks, placed):
+    n = nblocks * s
+    rows = [[field.zero] * n for _ in range(n)]
+    for (bi, bj), block in placed.items():
+        for i in range(s):
+            for j in range(s):
+                rows[bi * s + i][bj * s + j] = block[i, j]
+    return Matrix(field, rows)
+
+
+@pytest.mark.parametrize("field", [F5, QQ, rational_function_field(2)],
+                         ids=lambda f: f.name)
+def test_place_blocks_matches_dense_reference(field):
+    rng = random.Random(16)
+    for nblocks in range(1, 5):
+        for s in range(1, 4):
+            cells = [(bi, bj) for bi in range(nblocks)
+                     for bj in range(nblocks)]
+            for keep in (0, len(cells), rng.randrange(1, len(cells) + 1)):
+                placed = {at: _random_matrix(field, s, s, rng)
+                          for at in rng.sample(cells, keep)}
+                m = place_blocks(field, s, nblocks, placed)
+                assert m == _dense_placement(field, s, nblocks, placed)
+                # block rows that hold no block share one zero row
+                empty = set(range(nblocks)) - {bi for bi, _ in placed}
+                zero_rows = {id(m._rows[bi * s + i])
+                             for bi in empty for i in range(s)}
+                assert len(zero_rows) <= 1
+
+
 def test_block_permutation_conjugation():
     rng = random.Random(8)
     for s in (1, 2, 3):
@@ -259,6 +290,19 @@ def test_block_permutation_conjugation():
         assert conjugate_by_block_permutation(a, list(range(n_blocks)), s) == a
         inverse_perm = [perm.index(i) for i in range(n_blocks)]
         assert conjugate_by_block_permutation(conj, inverse_perm, s) == a
+    one = Matrix(F5, [[3]])
+    assert conjugate_by_block_permutation(one, [0], 1) == one
+    # shared and merely equal rows: each output row is still its own remap
+    shared = place_blocks(F5, 2, 4, {(0, 1): _random_matrix(F5, 2, 2, rng),
+                                     (3, 3): Matrix.identity(F5, 2)})
+    equal = Matrix(F5, [[1, 2, 0, 4]] * 2 + [[0, 0, 3, 1]] * 2)
+    for a, perm, s in ((shared, [2, 0, 3, 1], 2), (equal, [2, 0, 3, 1], 1),
+                       (equal, [1, 0], 2)):
+        src = [perm[i // s] * s + i % s for i in range(a.rows)]
+        expect = Matrix(F5, [[a[i, j] for j in src] for i in src])
+        pm = block_permutation_matrix(F5, perm, s)
+        assert conjugate_by_block_permutation(a, perm, s) == expect
+        assert pm.inverse() * a * pm == expect
     with pytest.raises(BadPermutationError):
         conjugate_by_block_permutation(Matrix.zeros(F5, 4, 4), [0, 0], 2)
     with pytest.raises(ShapeMismatchError):
@@ -282,6 +326,19 @@ def test_text_format_shape():
     assert matrix_to_text(a) == "2 2 gf:3\n1 2\n0 1"
     q = Matrix(QQ, [["1/2", "-3"]])
     assert matrix_to_text(q) == "1 2 q\n1/2 -3"
+
+
+def test_text_format_repeated_rows():
+    for field in (F5, QQ, rational_function_field(2)):
+        rng = random.Random(46)
+        block = _random_matrix(field, 2, 2, rng)
+        row = [field.random(rng) for _ in range(3)]
+        for m in (place_blocks(field, 2, 3, {(1, 0): block, (1, 2): block}),
+                  Matrix(field, [row, row, [0, 0, 0], row, [0, 0, 0]])):
+            lines = [matrix_to_text(Matrix(field, [m.row(i)])).split("\n")[1]
+                     for i in range(m.rows)]
+            assert matrix_to_text(m).split("\n") == \
+                [f"{m.rows} {m.cols} {field.name}", *lines]
 
 
 def test_json_round_trip():

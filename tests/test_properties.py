@@ -8,6 +8,8 @@ directory.  The suite is skipped where hypothesis is not installed (it
 is a dev dependency only).
 """
 
+import functools
+import itertools
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +21,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from centra import rational_function_field  # noqa: E402
+from centra import (  # noqa: E402
+    E_KIND,
+    FIRST_KIND,
+    Poly,
+    conjugate_by_block_permutation,
+    is_irreducible,
+    jordan_centralizer_basis,
+    jordan_form,
+    make_spec,
+    prime_field,
+    rational_function_field,
+    weyr_centralizer_basis_direct,
+    weyr_form,
+    weyr_permutation,
+)
 from test_elimination import _check  # noqa: E402
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "centra-hypothesis")
@@ -87,3 +103,36 @@ def test_rational_function_arithmetic(drawn):
         assert den and den[-1] == 1 and (not num or num[-1])
         assert _gcd_degree(num, den, p) == 0
         assert field.scalar(str(x)) == x
+
+
+@functools.cache
+def _irreducibles(q, degree):
+    field = prime_field(q)
+    monic = (Poly(field, list(cs) + [1])
+             for cs in itertools.product(range(q), repeat=degree))
+    return [p for p in monic if is_irreducible(p)]
+
+
+@st.composite
+def _specs(draw):
+    """GF(q) for q <= 7, irreducible p of degree <= 3, r <= 5, either kind."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    p = draw(st.sampled_from(_irreducibles(q, draw(st.integers(1, 3)))))
+    rest, alpha = draw(st.integers(1, 5)), []
+    while rest:
+        alpha.append(draw(st.integers(1, min([rest] + alpha[-1:]))))
+        rest -= alpha[-1]
+    return make_spec(p, alpha, draw(st.sampled_from([E_KIND, FIRST_KIND])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_specs())
+def test_weyr_transport_and_direct_placement(spec):
+    """W = P^-1 G P by index remapping, and both Weyr basis routes agree."""
+    order, p_mat = weyr_permutation(spec)
+    g, w = jordan_form(spec), weyr_form(spec)
+    assert conjugate_by_block_permutation(g, order, spec.s) == w
+    assert p_mat.inverse() * g * p_mat == w
+    conjugated = tuple(conjugate_by_block_permutation(b, order, spec.s)
+                       for b in jordan_centralizer_basis(spec).elements)
+    assert conjugated == weyr_centralizer_basis_direct(spec).elements
