@@ -18,9 +18,9 @@ distinct row object once.
 
 One forward routine (_forward) and one kernel routine (_kernel_vectors)
 serve every field and every caller (rank, determinant, kernel_basis,
-inverse).  They drive a row store that the field alone picks
-(Field.row_store; the classes are in rows.py), and only the store
-differs by field:
+inverse; commutant also runs _forward to canonicalize its basis).  They
+drive a row store that the field alone picks (Field.row_store; the
+classes are in rows.py), and only the store differs by field:
 - GF(p) packs each row into one int with a fixed-width slot per column,
   so a row update is one big-int multiply-add and entries are reduced
   mod p only when a pivot is read or normalized.  No slot exceeds

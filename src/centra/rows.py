@@ -9,7 +9,8 @@ Q; PayloadRows, lists of field payloads, for GF(p)(t).
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain
+from functools import cache
+from itertools import chain, compress
 from math import gcd, lcm
 
 
@@ -17,10 +18,11 @@ class PayloadRows:
     """Elimination rows as lists of field payloads; the store interface.
 
     rows[i] is row i and lead[i] the column of its first nonzero entry
-    (ncols for a zero row); every entry left of the lead is zero.  The
-    kernel solve works on vectors of m entries, in whatever form the store
-    chooses: unit makes one, solve combines them and payloads reads one
-    out as field payloads.
+    (ncols for a zero row); every entry left of the lead is zero.  Vectors
+    of m entries are kept in whatever form the store chooses: unit and
+    vector make one, combine sums payload multiples of them, solve is the
+    kernel step combine(-(pivot row right of its lead), x), and payloads
+    reads one out as field payloads.
     """
 
     def __init__(self, field, rows):
@@ -62,20 +64,48 @@ class PayloadRows:
         row[k] = self.field._one_payload
         return row
 
+    def vector(self, vals):
+        """The vector of the given field payloads."""
+        return list(vals)
+
+    def combine(self, coeffs, vecs, m):
+        """sum(c * v) over payload coefficients c.
+
+        Zero terms cost nothing, and neither do products with one or sums
+        with zero: in GF(p)(t) each of those would still reduce by a gcd.
+        """
+        field = self.field
+        zero, one, add, mul = (field._zero_payload, field._one_payload,
+                               field._add, field._mul)
+        acc = [zero] * m
+        for c, vec in zip(coeffs, vecs):
+            if c == zero:
+                continue
+            for j, b in enumerate(vec):
+                if b != zero:
+                    if c != one:
+                        b = mul(c, b)
+                    acc[j] = b if acc[j] == zero else add(acc[j], b)
+        return acc
+
     def solve(self, r, c, x, m):
         """-(entries of pivot row r right of its lead c) . x, m entries."""
-        field = self.field
-        zero = field._zero_payload
-        terms = [(v, x[j]) for j, v in enumerate(self.rows[r][c + 1:], c + 1)
-                 if v != zero]
-        if not terms:
-            return [zero] * m
-        coeffs, vecs = zip(*terms)
-        neg = field._neg
-        return [neg(v) for v in field.row_matmul(coeffs, vecs)]
+        return self.combine(map(self.field._neg, self.rows[r][c + 1:]),
+                            x[c + 1:], m)
 
     def payloads(self, vec, m):
         return vec
+
+    def row_vector(self, i):
+        """Row i, all ncols entries, as a vector."""
+        return self.rows[i]
+
+    def entries(self, vec, selected):
+        """The payloads of vec at the columns where selected is true."""
+        return list(compress(vec, selected))
+
+
+_ZERO = Fraction(0)
 
 
 class RationalRows:
@@ -89,8 +119,8 @@ class RationalRows:
     rows[i]*den[r] - rows[i][c]*rows[r] over den[i]*den[r], integer
     arithmetic only.  Unlike Bareiss's exact division, content removal
     does not need every row updated at every step, so rows with a later
-    lead are left alone.  Kernel vectors are (ints, den) pairs too; they
-    become Fractions only in payloads.
+    lead are left alone.  Vectors are (ints, den) pairs too, kept
+    primitive the same way; they become Fractions only in payloads.
     """
 
     def __init__(self, rows):
@@ -148,25 +178,52 @@ class RationalRows:
         vec[k] = 1
         return vec, 1
 
-    def solve(self, r, c, x, m):
-        terms = [(a, x[j]) for j, a in enumerate(self.rows[r][c + 1:], c + 1)
-                 if a]
+    def vector(self, vals):
+        den = lcm(*[v.denominator for v in vals])
+        return [v.numerator * (den // v.denominator) for v in vals], den
+
+    def combine(self, coeffs, vecs, m, den=1):
+        """sum(c * v) / den over coefficients c that are ints or Fractions."""
+        terms = [(c, v) for c, v in zip(coeffs, vecs) if c]
         if not terms:
             return [0] * m, 1
-        common = lcm(*[d for _, (_, d) in terms])
+        common = lcm(*[c.denominator * d for c, (_, d) in terms])
         acc = [0] * m
-        for a, (vec, d) in terms:
-            f = a * (common // d)
-            acc = [s - f * v for s, v in zip(acc, vec)]
-        den = self.den[r] * common
+        for c, (vec, d) in terms:
+            f = c.numerator * (common // (c.denominator * d))
+            acc = [s + f * v for s, v in zip(acc, vec)]
+        den *= common
         g = gcd(den, *acc)
         if g > 1:
             return [v // g for v in acc], den // g
         return acc, den
 
+    def solve(self, r, c, x, m):
+        return self.combine([-a for a in self.rows[r][c + 1:]], x[c + 1:], m,
+                            self.den[r])
+
     def payloads(self, vec, m):
         ints, den = vec
-        return [Fraction(v, den) for v in ints]
+        return [Fraction(v, den) if v else _ZERO for v in ints]
+
+    def row_vector(self, i):
+        return self.rows[i], self.den[i]
+
+    def entries(self, vec, selected):
+        ints, den = vec
+        return [Fraction(v, den) if v else _ZERO
+                for v in compress(ints, selected)]
+
+
+@cache
+def _byte_planes(p, nbytes):
+    """bytes.translate tables of (byte * 256**k) mod p for k < nbytes, or
+    None when the nbytes reduced planes of a slot could not add up in one
+    byte."""
+    if nbytes * (p - 1) >= 256:
+        return None
+    return [bytes([(v << 8 * k) % p for v in range(256)])
+            for k in range(nbytes)]
 
 
 # array typecode for each item size in bytes; big-endian hosts byteswap.
@@ -182,14 +239,18 @@ class PackedRows:
     the normalized pivot row r is one big-int multiply-add,
     row_i + (p-f)*row_r, minus the value left in slot c; entries are
     reduced mod p only when a lead is read or a pivot row normalized.  A
-    row takes at most ncols such updates and a kernel combination sums at
-    most ncols products, each at most (p-1)**2, so no slot exceeds
-    (p-1) + ncols*(p-1)**2 or carries into the next.  A slot is a whole
-    array item (1, 2, 4 or 8 bytes), packed and unpacked through array and
-    int.from_bytes; wider slots, for large p, go through int.to_bytes one
-    entry at a time.  Slots left of a row's lead are exactly 0 and the lead
-    slot is not a multiple of p, so the lead is the lowest set bit.
-    clean[i] says row i is still reduced, as packed.
+    row takes at most ncols such updates and a combination of reduced
+    vectors sums at most ncols products, each at most (p-1)**2, before its
+    one reduction, so no slot exceeds (p-1) + ncols*(p-1)**2 or carries
+    into the next.  A slot is a whole array item (1, 2, 4 or 8 bytes),
+    packed and unpacked through array and int.from_bytes; wider slots, for
+    large p, go through int.to_bytes one entry at a time.  When
+    nbytes*(p-1) < 256, a combination is reduced without unpacking: each
+    byte plane of the slots goes through a bytes.translate table of
+    (byte * 256**k) mod p, the planes are added as 1-byte slots and one
+    more table reduces the sum.  Slots left of a row's lead are exactly 0
+    and the lead slot is not a multiple of p, so the lead is the lowest
+    set bit.  clean[i] says row i is still reduced, as packed.
     """
 
     def __init__(self, p, rows):
@@ -210,6 +271,8 @@ class PackedRows:
         self.clean = [True] * len(rows)
 
     def _to_bytes(self, vals):
+        if self.nbytes == 1:
+            return bytes(vals)
         if self.code is None:
             nb = self.nbytes
             return b"".join([v.to_bytes(nb, "little") for v in vals])
@@ -276,11 +339,43 @@ class PackedRows:
     def unit(self, k, m):
         return 1 << (k * self.w)
 
+    def vector(self, vals):
+        return self.pack(vals)
+
+    def _reduce(self, x, m):
+        """x, m slots wide, with every slot reduced mod p."""
+        nb = self.nbytes
+        planes = _byte_planes(self.p, nb)
+        if planes is None:
+            p = self.p
+            return self.pack([v % p for v in self.values(x, 0, m)])
+        data = x.to_bytes(m * nb, "little")
+        if nb > 1:
+            data = sum([int.from_bytes(data[k::nb].translate(t), "little")
+                        for k, t in enumerate(planes)]).to_bytes(m, "little")
+        low = data.translate(planes[0])
+        if nb == 1:
+            return int.from_bytes(low, "little")
+        out = bytearray(m * nb)
+        out[::nb] = low
+        return int.from_bytes(out, "little")
+
+    def combine(self, coeffs, vecs, m):
+        """sum(c * v) over residues c of at most ncols reduced vectors."""
+        acc = sum([c * v for c, v in zip(coeffs, vecs) if c])
+        return self._reduce(acc, m) if acc else 0
+
     def solve(self, r, c, x, m):
         p = self.p
         tail = self.values(self.rows[r], c + 1, self.ncols - c - 1)
-        acc = sum([(p - f) * x[j] for j, f in enumerate(tail, c + 1) if f])
-        return self.pack([v % p for v in self.values(acc, 0, m)])
+        return self.combine([p - f if f else 0 for f in tail], x[c + 1:], m)
 
     def payloads(self, vec, m):
         return self.values(vec, 0, m)
+
+    def row_vector(self, i):
+        x = self.rows[i]
+        return x if self.clean[i] else self._reduce(x, self.ncols)
+
+    def entries(self, vec, selected):
+        return list(compress(self.values(vec, 0, len(selected)), selected))

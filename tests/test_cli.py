@@ -225,6 +225,52 @@ def test_bad_max_n_env_exit_two(monkeypatch, capsys, argv):
     assert "CENTRA_MAX_N" in err
 
 
+_ORACLE_ARGVS = [
+    ["dim", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1",
+     "--oracle"],
+    ["verify", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1"],
+    ["oracle"],
+]
+
+
+def _with_input(argv, tmp_path):
+    if argv[0] != "oracle":
+        return argv
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_to_text(Matrix.identity(F3, 3)) + "\n")
+    return argv + ["--input", str(path)]
+
+
+@pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=lambda a: a[0])
+def test_negative_max_n_exit_two(tmp_path, capsys, argv):
+    rc, out, err = _run(capsys, _with_input(argv, tmp_path)
+                        + ["--max-n", "-3"])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert "--max-n" in err and "cap" not in err
+
+
+@pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=lambda a: a[0])
+def test_negative_max_n_env_exit_two(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.setenv("CENTRA_MAX_N", "-1")
+    rc, out, err = _run(capsys, _with_input(argv, tmp_path))
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert "CENTRA_MAX_N" in err
+
+
+def test_zero_max_n_skips_the_oracle(monkeypatch, capsys):
+    rc, out, _ = _run(capsys, ["verify", "--field", "gf:3", "--poly",
+                               "x^2+1", "--alpha", "2,1", "--max-n", "0"])
+    assert rc == 0
+    assert "oracle" not in out
+    monkeypatch.setenv("CENTRA_MAX_N", "0")
+    rc, out, _ = _run(capsys, ["verify", "--field", "gf:3", "--poly",
+                               "x^2+1", "--alpha", "2,1"])
+    assert rc == 0
+    assert "oracle" not in out
+
+
 def test_negative_samples_exit_two(capsys):
     rc, out, err = _run(capsys, ["verify", "--field", "gf:3", "--poly",
                                  "x^2+1", "--alpha", "2,1", "--samples",

@@ -14,10 +14,10 @@ from math import gcd
 
 import pytest
 
-from centra import (QQ, Matrix, SingularMatrixError, prime_field,
-                    sylvester_system)
+from centra import QQ, Matrix, SingularMatrixError, prime_field
 from centra.matrices import _forward
 from centra.rows import PackedRows, RationalRows
+from test_oracle import _dense_sylvester
 
 PRIMES = (2, 3, 5, 4294967291)
 FIELDS = PRIMES + (pytest.param(0, id="q"),)
@@ -169,7 +169,7 @@ def test_sylvester_systems_match_reference(p, n):
                           for i in range(n)])
     dense = q * diag * q.inverse()
     for m in (Matrix(field, _random_rows(rng, p, n, n)), dense):
-        _check(_values(sylvester_system(m)), p)
+        _check(_values(_dense_sylvester(m)), p)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -196,3 +196,38 @@ def test_slot_width_holds_the_bound(p, ncols):
     # Array items while the bound fits in 8 bytes, to_bytes beyond.
     assert (store.code is None) == (bound >= 1 << 64)
     assert store.values(store.rows[0], 0, ncols) == [p - 1] * ncols
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 31, 4294967291))
+@pytest.mark.parametrize("ncols", (1, 3, 40, 400))
+def test_packed_reduce_matches_slot_mod(p, ncols):
+    """Byte-plane reduction (small p) and unpacking (large p) agree with %."""
+    store = PackedRows(p, [[0] * ncols])
+    rng = random.Random(f"reduce:{p}:{ncols}")
+    for m in (1, 5, 64):
+        vals = [rng.randrange(1 << store.w) for _ in range(m)]
+        vals[0] = (1 << store.w) - 1
+        reduced = store._reduce(store.pack(vals), m)
+        assert store.values(reduced, 0, m) == [v % p for v in vals]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_store_combine_matches_reference(p):
+    """combine over every store equals sum(c * v) entry by entry."""
+    field = prime_field(p) if p else QQ
+    rng = random.Random(f"combine:{p}")
+    for nterms in (0, 1, 2, 9):
+        m = rng.randint(1, 12)
+        coeffs = [_entry(rng, p) for _ in range(nterms)]
+        vecs = [[_entry(rng, p) if rng.random() < 0.6 else 0
+                 for _ in range(m)] for _ in range(nterms)]
+        want = [_reduce(sum(c * v[j] for c, v in zip(coeffs, vecs)), p)
+                for j in range(m)]
+        store = field.row_store([[field._zero_payload] * max(nterms, 1)])
+        packed = [store.vector([field.scalar(x).value for x in v])
+                  for v in vecs]
+        got = store.combine([field.scalar(c).value for c in coeffs], packed,
+                            m)
+        assert store.payloads(got, m) == want
+        assert store.entries(got, [j % 2 == 0 for j in range(m)]) == \
+            want[::2]

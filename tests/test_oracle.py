@@ -1,12 +1,22 @@
-"""Brute-force commutant solver used as the independent cross-check."""
+"""Brute-force commutant solver used as the independent cross-check.
+
+The solver reduces the input to Hessenberg form and solves for k*n
+unknowns; _dense_sylvester here is the plain n^2 x n^2 system it
+replaced, kept as the reference.  Its free-variable kernel basis,
+reshaped, must equal commutant_basis exactly, and n^2 minus its rank
+must equal commutant_dimension.
+"""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from centra import (
+    QQ,
     Matrix,
     NotSquareError,
+    ParseError,
     Poly,
     ShapeMismatchError,
     TooLargeError,
@@ -18,12 +28,52 @@ from centra import (
     jordan_form,
     make_spec,
     prime_field,
+    rational_function_field,
     sylvester_system,
 )
 
 F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
+FBIG = prime_field(4294967291)
+FT2 = rational_function_field(2)
+
+
+def _dense_sylvester(a):
+    """The n^2 x n^2 matrix of X -> AX - XA over column-stacked coordinates.
+
+    Entry (i, j) of X sits at coordinate i + j*n.  Built with Scalars
+    only, sharing no code with the solver.
+    """
+    if not a.is_square():
+        raise NotSquareError("commuting space of a nonsquare matrix")
+    n = a.rows
+    rows = [[a.field.zero] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            row = rows[i + j * n]
+            for k in range(n):
+                row[k + j * n] += a[i, k]
+                row[i + k * n] -= a[k, j]
+    return Matrix(a.field, rows)
+
+
+def _reference_basis(a):
+    n = a.rows
+    out = []
+    for v in _dense_sylvester(a).kernel_basis():
+        stacked = v.column_values(0)
+        out.append(Matrix(a.field, [stacked[i::n] for i in range(n)]))
+    return out
+
+
+def _check_against_reference(a):
+    dense = _dense_sylvester(a)
+    basis = commutant_basis(a)
+    assert basis == _reference_basis(a)
+    assert commutant_dimension(a) == len(basis) == a.rows ** 2 - dense.rank()
+    for b in basis:
+        assert commutes(a, b)
 
 
 def test_identity_commutant_is_everything():
@@ -52,7 +102,7 @@ def test_nilpotent_two_chains():
 
 def test_sylvester_system_shape():
     a = Matrix(F3, [[1, 2], [0, 1]])
-    sys = sylvester_system(a)
+    sys = _dense_sylvester(a)
     assert sys.rows == 4 and sys.cols == 4
     # row for entry (i, j) applies a on the left minus a on the right
     x = Matrix(F3, [[1, 1], [0, 1]])
@@ -62,7 +112,93 @@ def test_sylvester_system_shape():
     lhs = a * x - x * a
     assert prod == [lhs[i % 2, i // 2] for i in range(4)]
     with pytest.raises(NotSquareError):
+        _dense_sylvester(Matrix(F3, [[1, 2, 0]]))
+
+
+def test_reduced_system_has_k_times_n_unknowns():
+    # Upper Hessenberg with one zero subdiagonal entry: k = 2 blocks.
+    a = Matrix(F5, [[1, 2, 0, 3], [1, 0, 4, 1], [0, 0, 2, 1], [0, 0, 3, 4]])
+    sys = sylvester_system(a)
+    assert (sys.rows, sys.cols) == (8, 8)
+    assert sys.cols - sys.rank() == 16 - _dense_sylvester(a).rank()
+    # Unreduced (one block), scalar (k = n) and 1 x 1.
+    assert sylvester_system(Matrix(F5, [[0, 1], [1, 0]])).cols == 2
+    assert sylvester_system(Matrix.identity(F5, 3)).cols == 9
+    assert sylvester_system(Matrix(F5, [[4]])).cols == 1
+    with pytest.raises(NotSquareError):
         sylvester_system(Matrix(F3, [[1, 2, 0]]))
+
+
+def _similar(field, g, rng):
+    """L U g (L U)^-1 for unit triangular L, U with entries in {-1, 0, 1}."""
+    n = g.rows
+    lower = Matrix(field, [[1 if i == j else rng.randint(-1, 1) if j < i
+                            else 0 for j in range(n)] for i in range(n)])
+    upper = Matrix(field, [[1 if i == j else rng.randint(-1, 1) if j > i
+                            else 0 for j in range(n)] for i in range(n)])
+    q = lower * upper
+    return q * g * q.inverse()
+
+
+def _entry_maker(field):
+    """Drawn Scalars of the field, zero and one among them often."""
+    if field is QQ:
+        def draw(rng):
+            return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+    elif field is FT2:
+        menu = ["0", "1", "t", "t+1", "(1)/(t)", "(t)/(t^2+t+1)"]
+
+        def draw(rng):
+            return rng.choice(menu)
+    else:
+        p = field.characteristic
+
+        def draw(rng):
+            return rng.choice((0, 1, p - 1, rng.randrange(p)))
+    return lambda rng: field.scalar(draw(rng))
+
+
+def _seeded_inputs(field, n, rng):
+    """Dense, scalar, zero, nilpotent, Hessenberg and block inputs."""
+    entry = _entry_maker(field)
+    dense = Matrix(field, [[entry(rng) for _ in range(n)] for _ in range(n)])
+    scalar = Matrix.identity(field, n) * entry(rng)
+    nilpotent = _similar(field, Matrix(
+        field, [[entry(rng) if j < i else 0 for j in range(n)]
+                for i in range(n)]), rng)
+    hessenberg = [[entry(rng) if j >= i - 1 else 0 for j in range(n)]
+                  for i in range(n)]
+    if n > 2:
+        hessenberg[n // 2][n // 2 - 1] = 0
+    # Two equal eigenvalues and a third: not similar to any single form.
+    diag = Matrix(field, [[(i % 3 == 1) * (i == j) for j in range(n)]
+                          for i in range(n)])
+    return [dense, scalar, Matrix.zeros(field, n, n), nilpotent,
+            Matrix(field, hessenberg), _similar(field, diag, rng)]
+
+
+# GF(2)(t) stops at n = 4: entries there reach high degree, and the
+# Scalar reference then takes seconds.
+@pytest.mark.parametrize("field,n", [
+    (field, n) for field in (F2, F3, FBIG, QQ) for n in (1, 2, 3, 5, 7)]
+    + [(FT2, n) for n in (1, 2, 3, 4)],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v))
+def test_basis_matches_dense_reference(field, n):
+    rng = random.Random(f"reference:{field.name}:{n}")
+    for a in _seeded_inputs(field, n, rng):
+        _check_against_reference(a)
+
+
+@pytest.mark.parametrize("spec_args", [
+    (F3, "x^2+1", (2, 1)), (F2, "x^2+x+1", (1, 1, 1)), (F5, "x+2", (3, 2, 2)),
+    (QQ, "x^2-2", (2, 1)), (FT2, "x^2+t*x+t", (1, 1))])
+def test_forms_and_similar_matrices_match_dense_reference(spec_args):
+    field, poly, alpha = spec_args
+    spec = make_spec(Poly.parse(poly, field), alpha, assume_irreducible=True)
+    g = jordan_form(spec)
+    rng = random.Random(f"form:{field.name}:{poly}")
+    for a in (g, _similar(field, g, rng)):
+        _check_against_reference(a)
 
 
 def test_commutes_predicate():
@@ -122,3 +258,11 @@ def test_size_cap(monkeypatch):
     assert commutant_dimension(a, max_n=5) == 9
     monkeypatch.setenv("CENTRA_MAX_N", "50")
     assert commutant_dimension(a) == 9
+    # 0 is a cap like any other; a negative one is an error.
+    with pytest.raises(TooLargeError):
+        commutant_dimension(a, max_n=0)
+    with pytest.raises(ParseError, match="--max-n"):
+        commutant_dimension(a, max_n=-1)
+    monkeypatch.setenv("CENTRA_MAX_N", "-3")
+    with pytest.raises(ParseError, match="CENTRA_MAX_N"):
+        commutant_basis(a)

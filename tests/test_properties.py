@@ -24,7 +24,11 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from centra import (  # noqa: E402
     E_KIND,
     FIRST_KIND,
+    QQ,
+    Matrix,
     Poly,
+    centralizer_dimension,
+    commutant_dimension,
     conjugate_by_block_permutation,
     is_irreducible,
     jordan_centralizer_basis,
@@ -37,6 +41,7 @@ from centra import (  # noqa: E402
     weyr_permutation,
 )
 from test_elimination import _check  # noqa: E402
+from test_oracle import _check_against_reference  # noqa: E402
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "centra-hypothesis")
 
@@ -136,3 +141,63 @@ def test_weyr_transport_and_direct_placement(spec):
     conjugated = tuple(conjugate_by_block_permutation(b, order, spec.s)
                        for b in jordan_centralizer_basis(spec).elements)
     assert conjugated == weyr_centralizer_basis_direct(spec).elements
+
+
+def _unimodular(draw, field, n):
+    """L U with unit diagonals and drawn entries in {-1, 0, 1}."""
+    unit = st.integers(-1, 1)
+    lower = [[1 if i == j else draw(unit) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else draw(unit) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return Matrix(field, lower) * Matrix(field, upper)
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """A square matrix of n <= 7 (n <= 3 over GF(2)(t)) of a drawn shape."""
+    field, entries, max_n = draw(st.sampled_from(
+        [(prime_field(p), st.one_of(st.sampled_from([0, 1, p - 1]),
+                                    st.integers(0, p - 1)), 7)
+         for p in (2, 3, 4294967291)]
+        + [(QQ, _ENTRIES, 7), (rational_function_field(2), _ratfuncs(2), 3)]))
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(
+        ["dense", "scalar", "nilpotent", "hessenberg", "block"]))
+    entry = functools.partial(draw, entries)
+    if shape == "dense":
+        return Matrix(field, [[entry() for _ in range(n)] for _ in range(n)])
+    if shape == "scalar":
+        return Matrix.identity(field, n) * field.scalar(entry())
+    if shape == "hessenberg":
+        rows = [[entry() if j >= i - 1 else 0 for j in range(n)]
+                for i in range(n)]
+        return Matrix(field, rows)
+    if shape == "nilpotent":
+        core = [[entry() if j < i else 0 for j in range(n)] for i in range(n)]
+    else:
+        # Repeated diagonal values: not similar to any single form.
+        values = [entry() for _ in range(draw(st.integers(1, 2)))]
+        core = [[values[i % len(values)] if i == j else 0 for j in range(n)]
+                for i in range(n)]
+    q = _unimodular(draw, field, n)
+    return q * Matrix(field, core) * q.inverse()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(_oracle_inputs())
+def test_oracle_matches_dense_reference(a):
+    """The Hessenberg-reduced oracle returns the dense oracle's basis."""
+    _check_against_reference(a)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.data())
+def test_formula_dimension_equals_oracle(data):
+    """s * sum (2i-1) alpha_i = dim C(G) = dim C(P^-1 G P), P unimodular."""
+    spec = data.draw(_specs())
+    g = jordan_form(spec)
+    p = _unimodular(data.draw, g.field, g.rows)
+    formula = centralizer_dimension(spec.segre.alpha, spec.s)
+    assert commutant_dimension(g) == formula
+    assert commutant_dimension(p.inverse() * g * p) == formula
