@@ -68,6 +68,8 @@ def _hessenberg(a):
     each applied as a similarity.  S and S^-1 are None while no step has
     been taken, that is, when A is upper Hessenberg already.
     """
+    if not a.is_square():
+        raise NotSquareError("commuting space of a nonsquare matrix")
     field = a.field
     zero, one = field._zero_payload, field._one_payload
     add, mul, axpy = field._add, field._mul, field.row_axpy
@@ -152,8 +154,6 @@ def sylvester_system(a, reduced=None):
     kernel is the commuting space of H.  reduced is _hessenberg(a) when
     the caller has it.
     """
-    if not a.is_square():
-        raise NotSquareError("commuting space of a nonsquare matrix")
     h, _, _ = reduced or _hessenberg(a)
     field, n = a.field, a.rows
     zero = field._zero_payload

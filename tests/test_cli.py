@@ -280,6 +280,18 @@ def test_negative_samples_exit_two(capsys):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("text", ["3 1 gf:3\n1\n1\n2\n",
+                                  "1 3 gf:3\n1 1 2\n"],
+                         ids=["tall", "wide"])
+def test_oracle_nonsquare_input_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    rc, out, err = _run(capsys, ["oracle", "--input", str(path)])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert "nonsquare" in err
+
+
 def test_oracle_size_cap_exit_two(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text(matrix_to_text(Matrix.identity(F3, 3)) + "\n")

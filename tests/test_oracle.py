@@ -125,8 +125,15 @@ def test_reduced_system_has_k_times_n_unknowns():
     assert sylvester_system(Matrix(F5, [[0, 1], [1, 0]])).cols == 2
     assert sylvester_system(Matrix.identity(F5, 3)).cols == 9
     assert sylvester_system(Matrix(F5, [[4]])).cols == 1
-    with pytest.raises(NotSquareError):
-        sylvester_system(Matrix(F3, [[1, 2, 0]]))
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 0]], [[1], [1], [2]]],
+                         ids=["wide", "tall"])
+def test_nonsquare_input_is_rejected(rows):
+    a = Matrix(F3, rows)
+    for fn in (sylvester_system, commutant_basis, commutant_dimension):
+        with pytest.raises(NotSquareError):
+            fn(a)
 
 
 def _similar(field, g, rng):
