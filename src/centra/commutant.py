@@ -115,8 +115,8 @@ def _unfold(field, h, store, m, fresh, close=True):
     2n vectors.
     """
     n = len(h)
-    zero, one, neg, mul = (field._zero_payload, field._one_payload,
-                           field._neg, field._mul)
+    zero, one, neg, mul, add = (field._zero_payload, field._one_payload,
+                                field._neg, field._mul, field._add)
     cols, closing = [], []
     start = 0
     y = fresh[:n]
@@ -135,8 +135,13 @@ def _unfold(field, h, store, m, fresh, close=True):
             inv = field._inv(sub)
             rows = [field.row_scale(r, inv) for r in h]
             left = [mul(inv, c) for c in left]
-        t = [store.combine(rows[i] + left, y + [c[i] for c in cols], m)
-             for i in range(n)]
+        t = []
+        for i in range(n):
+            # y_j[i] is in both sums: fold its two coefficients into one.
+            coeffs = list(rows[i])
+            coeffs[i] = add(coeffs[i], left[j])
+            t.append(store.combine(coeffs + left[:j],
+                                   y + [c[i] for c in cols[:j]], m))
         if sub == zero:
             closing += t
             y = nxt
