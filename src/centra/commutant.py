@@ -92,7 +92,9 @@ def _hessenberg(a):
                 for r in rows:
                     r[piv], r[q] = r[q], r[piv]
         inv = field._inv(h[q][j])
-        fs = [(i, mul(h[i][j], inv)) for i in below if i > q]
+        # below[1:] are the nonzero rows other than the pivot; a swapped
+        # row q holds a zero at j and needs no transform.
+        fs = [(i, mul(h[i][j], inv)) for i in below[1:]]
         for i, f in fs:
             h[i] = axpy(h[i], f, h[q])
             sinv[i] = axpy(sinv[i], f, sinv[q])
@@ -150,18 +152,20 @@ def _unfold(field, h, store, m, fresh, close=True):
     return cols, closing
 
 
-def sylvester_system(a, reduced=None):
+def sylvester_system(a):
     """The k*n x k*n matrix of X -> AX - XA after Hessenberg reduction.
 
     Its unknowns are the entries of y_0 and of each column of Y after a
     zero subdiagonal entry of H, block by block, and its rows the n
     closing equations of each unreduced block of H (see _unfold); its
-    kernel is the commuting space of H.  reduced is _hessenberg(a) when
-    the caller has it.
+    kernel is the commuting space of H.
     """
-    h, _, _ = reduced or _hessenberg(a)
-    field, n = a.field, a.rows
-    zero = field._zero_payload
+    return _system(a.field, _hessenberg(a)[0])
+
+
+def _system(field, h):
+    """sylvester_system for the upper Hessenberg payload rows h."""
+    n, zero = len(h), field._zero_payload
     m = n * (1 + sum(h[j + 1][j] == zero for j in range(n - 1)))
     store = _vector_store(field, 2 * n)
     units = [store.unit(u, m) for u in range(m)]
@@ -228,7 +232,7 @@ def commutant_basis(a, max_n=None):
     """
     _check_cap(a, max_n)
     reduced = _hessenberg(a)
-    system = sylvester_system(a, reduced)
+    system = _system(a.field, reduced[0])
     kernel = [list(map(itemgetter(0), v._rows))
               for v in system.kernel_basis()]
     field, n = a.field, a.rows

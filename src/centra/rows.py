@@ -271,8 +271,6 @@ class PackedRows:
         self.clean = [True] * len(rows)
 
     def _to_bytes(self, vals):
-        if self.nbytes == 1:
-            return bytes(vals)
         if self.code is None:
             nb = self.nbytes
             return b"".join([v.to_bytes(nb, "little") for v in vals])
