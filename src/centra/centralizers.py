@@ -26,6 +26,7 @@ fixes the layout for golden files.
 """
 
 import random
+from itertools import chain
 from typing import NamedTuple
 
 from .canonical import (
@@ -45,11 +46,13 @@ from .errors import (
     NotSquareError,
     ShapeMismatchError,
 )
+from .commutant import commutes
 from .matrices import (
     BlockLayout,
     Matrix,
+    _vector_store,
+    block_below_diagonal,
     conjugate_by_block_permutation,
-    extract_blocks,
     place_blocks,
 )
 from .algebra import poly_gcd
@@ -316,17 +319,17 @@ def weyr_determinant(k_mat, spec):
             f"expected a {spec.n}x{spec.n} matrix, got "
             f"{k_mat.rows}x{k_mat.cols}")
     layout = weyr_layout(spec)
-    grid = extract_blocks(k_mat, layout)
-    nb = layout.nrow_blocks
-    for bi in range(nb):
-        for bj in range(bi):
-            if not grid[bi][bj].is_zero():
-                raise ShapeMismatchError(
-                    f"nonzero block below the level diagonal at "
-                    f"({bi + 1},{bj + 1})")
+    below = block_below_diagonal(k_mat, layout)
+    if below is not None:
+        bi, bj = below
+        raise ShapeMismatchError(
+            f"nonzero block below the level diagonal at "
+            f"({bi + 1},{bj + 1})")
     det = spec.field.one
-    for bi in range(nb):
-        det = det * grid[bi][bi].determinant()
+    cuts = layout.row_cuts
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = [r[lo:hi] for r in k_mat._rows[lo:hi]]
+        det = det * Matrix._from_payloads(k_mat.field, block).determinant()
     return det
 
 
@@ -336,7 +339,7 @@ def is_automorphism(k_mat, spec):
     if k_mat.rows != w.rows or k_mat.cols != w.cols:
         raise ShapeMismatchError(
             f"expected a {w.rows}x{w.cols} matrix")
-    if w * k_mat != k_mat * w:
+    if not commutes(w, k_mat):
         raise NotInCentralizerError(
             "matrix does not commute with the Weyr form")
     return bool(weyr_determinant(k_mat, spec))
@@ -367,8 +370,12 @@ def sample_element(basis, coeffs=None, seed=None):
             raise LengthMismatchError(
                 f"{len(coeffs)} coefficients for dimension {basis.dim}")
     n = basis.generator.rows
-    acc = Matrix.zeros(field, n, n)
-    for c, b in zip(coeffs, basis.elements):
-        if c:
-            acc = acc + b * c
-    return acc
+    # One combine over the row-major flattened elements, then n rows.
+    store = _vector_store(field, basis.dim)
+    picked = [(c.value, b) for c, b in zip(coeffs, basis.elements) if c]
+    vecs = [store.vector(tuple(chain.from_iterable(b._rows)))
+            for _, b in picked]
+    flat = store.payloads(store.combine([c for c, _ in picked], vecs, n * n),
+                          n * n)
+    return Matrix._from_payloads(field, [flat[i:i + n]
+                                         for i in range(0, n * n, n)])

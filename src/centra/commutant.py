@@ -24,7 +24,7 @@ import os
 from operator import itemgetter
 
 from .errors import NotSquareError, ParseError, ShapeMismatchError, TooLargeError
-from .matrices import Matrix, _forward
+from .matrices import Matrix, _forward, _vector_store
 
 DEFAULT_MAX_N = 40
 MAX_N_ENV = "CENTRA_MAX_N"
@@ -53,11 +53,6 @@ def _check_cap(a, max_n):
     if a.rows > cap:
         raise TooLargeError(
             f"matrix size {a.rows} exceeds the oracle cap {cap}")
-
-
-def _vector_store(field, terms):
-    """A row store for vector work: combines of up to `terms` products."""
-    return field.row_store([[field._zero_payload] * terms])
 
 
 def _hessenberg(a):
@@ -250,10 +245,35 @@ def commutant_dimension(a, max_n=None):
 
 
 def commutes(a, x):
-    """Whether AX equals XA."""
+    """Whether AX equals XA, compared on the nonzero entries of both.
+
+    Each operand's rows are listed as the (column, payload) pairs of their
+    nonzero entries (Matrix._nonzeros, once per distinct row object, so
+    the zero rows that place_blocks shares are scanned once).  Each
+    product is summed from those lists into {(i, j): payload}, sums that
+    cancel to zero are dropped, and the products are equal exactly when
+    the two maps are.
+    """
     if not a.is_square():
         raise NotSquareError("commutation against a nonsquare matrix")
     if a.rows != x.rows or a.cols != x.cols:
         raise ShapeMismatchError(
             f"shapes {a.rows}x{a.cols} and {x.rows}x{x.cols} differ")
-    return a * x == x * a
+    a._same_field(x)
+    a_nz, x_nz = a._nonzeros(), x._nonzeros()
+    return (_product_entries(a.field, a_nz, x_nz)
+            == _product_entries(a.field, x_nz, a_nz))
+
+
+def _product_entries(field, left, right):
+    """{(i, j): payload} of the nonzero entries of a product, given the
+    operands' Matrix._nonzeros lists."""
+    zero, add, mul = field._zero_payload, field._add, field._mul
+    acc = {}
+    for i, row in enumerate(left):
+        for k, u in row:
+            for j, v in right[k]:
+                uv = mul(u, v)
+                s = acc.get((i, j))
+                acc[i, j] = uv if s is None else add(s, uv)
+    return {key: v for key, v in acc.items() if v != zero}

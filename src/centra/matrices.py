@@ -30,6 +30,9 @@ classes are in rows.py), and only the store differs by field:
   update is integer arithmetic plus one gcd, and no Fraction is built
   until a pivot or a kernel entry leaves the store.
 - GF(p)(t) keeps lists of field payloads.
+Vector work outside elimination (commutant's recurrences, the linear
+combination in centralizers.sample_element) runs through the combine of
+a store of the same kind (_vector_store).
 Pivoting takes the first row whose leading entry lies in the current
 column, which is deterministic and needs no magnitude concerns in exact
 arithmetic.
@@ -43,6 +46,7 @@ is ``{"rows": r, "cols": c, "field": "gf:3", "entries": [[...], ...]}``
 with integer entries for GF(p) and scalar-syntax strings otherwise.
 """
 
+from bisect import bisect_right
 from operator import itemgetter
 
 from .algebra import PrimeField, Scalar, field_from_name
@@ -57,7 +61,7 @@ from .errors import (
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "_rows")
+    __slots__ = ("field", "rows", "cols", "_rows", "_nz")
 
     def __init__(self, field, rows):
         """Coerce every entry (Scalar, int, literal or payload) into field."""
@@ -81,6 +85,7 @@ class Matrix:
         self.field = field
         self.rows = len(self._rows)
         self.cols = len(self._rows[0])
+        self._nz = None
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -116,6 +121,19 @@ class Matrix:
 
     def is_square(self):
         return self.rows == self.cols
+
+    def _nonzeros(self):
+        """Per row, the (column, payload) pairs of its nonzero entries.
+
+        Listed once per distinct row object on first use and kept, as the
+        matrix never changes.
+        """
+        if self._nz is None:
+            zero = self.field._zero_payload
+            self._nz = _once_per_row(
+                lambda r: [(j, v) for j, v in enumerate(r) if v != zero],
+                self._rows)
+        return self._nz
 
     def is_zero(self):
         zero = self.field._zero_payload
@@ -239,6 +257,11 @@ class Matrix:
 
     def __str__(self):
         return matrix_to_text(self)
+
+
+def _vector_store(field, terms):
+    """A row store for vector work: combines of up to `terms` products."""
+    return field.row_store([[field._zero_payload] * terms])
 
 
 def _forward(store, field):
@@ -401,6 +424,29 @@ def extract_blocks(m, layout):
                           for i in range(rc[bi], rc[bi + 1])]))
         grid.append(row)
     return grid
+
+
+def block_below_diagonal(m, layout):
+    """The first nonzero block below the block diagonal, or None.
+
+    Block row bi is nonzero below the diagonal when one of its rows has a
+    nonzero entry left of col_cuts[bi].  Returns 0-based (bi, bj) for the
+    first such block row and the lowest such bj in it.  Only row slices
+    are read; no block is built.
+    """
+    if layout.row_cuts[-1] != m.rows or layout.col_cuts[-1] != m.cols:
+        raise ShapeMismatchError("layout does not cover the matrix")
+    rc, cc = layout.row_cuts, layout.col_cuts
+    zero = m.field._zero_payload
+    for bi in range(1, layout.nrow_blocks):
+        cut = cc[min(bi, layout.ncol_blocks)]
+        heads = [r[:cut] for r in m._rows[rc[bi]:rc[bi + 1]]]
+        bad = [h for h in heads if h.count(zero) < cut]
+        if bad:
+            j = min(next(j for j, v in enumerate(h) if v != zero)
+                    for h in bad)
+            return bi, bisect_right(cc, j) - 1
+    return None
 
 
 def _once_per_row(fn, rows):

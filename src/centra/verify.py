@@ -6,6 +6,11 @@ conjugation transport, kernel characteristic, basis commutation and
 independence, dimension formulas, the brute-force oracle cross-check, and
 seeded determinant sampling.  The CLI prints these verbatim, so names and
 details are stable strings.
+
+Commutation is checked on nonzero entries (commutant.commutes): the
+basis elements are placements of a few s x s blocks, so summing AX and
+XA from the nonzero entries of both operands costs a small part of two
+dense products, and the comparison is still exact equality.
 """
 
 from .canonical import (
@@ -26,23 +31,19 @@ from .centralizers import (
     weyr_determinant,
     weyr_layout,
 )
-from .commutant import commutant_dimension, _resolve_cap
+from .commutant import commutant_dimension, commutes, _resolve_cap
 from .errors import CentraError
-from .matrices import Matrix, conjugate_by_block_permutation, extract_blocks, poly_at_matrix
+from .matrices import (
+    Matrix,
+    block_below_diagonal,
+    conjugate_by_block_permutation,
+    poly_at_matrix,
+)
 
 
 def _stacked_rank(field, mats):
     return Matrix._from_payloads(
         field, [[v for r in m._rows for v in r] for m in mats]).rank()
-
-
-def _is_block_upper(m, layout):
-    grid = extract_blocks(m, layout)
-    for bi in range(layout.nrow_blocks):
-        for bj in range(bi):
-            if not grid[bi][bj].is_zero():
-                return False
-    return True
 
 
 def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
@@ -76,7 +77,7 @@ def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
     d, n = dn_split(spec)
     check("dn_split_sum", d + n == g, "D + N reassembles the form")
     if spec.kind == FIRST_KIND:
-        check("dn_commute", d * n == n * d,
+        check("dn_commute", commutes(d, n),
               "diagonal and coupling parts commute in the first kind")
 
     alpha1 = segre.alpha[0]
@@ -92,7 +93,7 @@ def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
     check("jordan_basis_count", zg.dim == dim,
           f"{zg.dim} elements vs formula {dim}")
     check("jordan_basis_commutes",
-          all(g * b == b * g for b in zg.elements),
+          all(commutes(g, b) for b in zg.elements),
           "every basis element commutes with the form")
     check("jordan_basis_independent",
           _stacked_rank(field, zg.elements) == zg.dim,
@@ -107,11 +108,12 @@ def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
     check("weyr_paths_agree", paths_agree,
           "conjugated and directly placed bases are identical")
     check("weyr_basis_commutes",
-          all(w * b == b * w for b in zw.elements),
+          all(commutes(w, b) for b in zw.elements),
           "every basis element commutes with the Weyr form")
     layout = weyr_layout(spec)
     check("weyr_basis_triangular",
-          all(_is_block_upper(b, layout) for b in zw.elements),
+          all(block_below_diagonal(b, layout) is None
+              for b in zw.elements),
           "basis elements are block upper triangular in level cuts")
     conj_elems = [conjugate_by_block_permutation(b, order, spec.s)
                   for b in zg.elements]
@@ -128,7 +130,7 @@ def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
     commute_ok = True
     for i in range(samples):
         k = sample_element(zw, seed=seed + i)
-        commute_ok = commute_ok and w * k == k * w
+        commute_ok = commute_ok and commutes(w, k)
         det_ok = det_ok and weyr_determinant(k, spec) == k.determinant()
     check("sample_commutes", commute_ok,
           f"{samples} seeded samples commute with the Weyr form")
