@@ -15,6 +15,7 @@ from centra import (
     NotSquareError,
     ParamSlot,
     Poly,
+    QQ,
     ShapeMismatchError,
     centralizer_dimension,
     commutant_dimension,
@@ -31,6 +32,7 @@ from centra import (
     last_row_toeplitz,
     make_spec,
     prime_field,
+    rational_function_field,
     sample_element,
     segre_indexing,
     solve_corner_coupling,
@@ -45,6 +47,7 @@ F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
 F7 = prime_field(7)
+FT2 = rational_function_field(2)
 
 IRREDUCIBLE = {
     (2, 1): "x+1", (2, 2): "x^2+x+1", (2, 3): "x^3+x+1",
@@ -391,6 +394,28 @@ def test_weyr_determinant_rejects_lower_block():
         weyr_determinant(bad, spec)
 
 
+def test_weyr_determinant_names_the_first_lower_block():
+    # alpha (3,3), s = 1: three levels of two rows, cuts 0, 2, 4, 6.  The
+    # message names the first block row with a nonzero entry left of its
+    # diagonal block, and the lowest block column it reaches there.
+    spec = make_spec(Poly.parse("x+1", F3), (3, 3))
+
+    def with_ones(cells):
+        rows = [[int(i == j) for j in range(6)] for i in range(6)]
+        for i, j in cells:
+            rows[i][j] = 1
+        return Matrix(F3, rows)
+
+    for cells, at in (([(4, 3), (5, 1)], "(3,1)"), ([(4, 3)], "(3,2)"),
+                      ([(5, 1), (2, 0)], "(2,1)"), ([(3, 1), (0, 5)], "(2,1)")):
+        with pytest.raises(ShapeMismatchError) as err:
+            weyr_determinant(with_ones(cells), spec)
+        assert str(err.value) == \
+            f"nonzero block below the level diagonal at {at}"
+    upper = with_ones([(0, 5), (1, 2), (3, 4)])
+    assert weyr_determinant(upper, spec) == upper.determinant()
+
+
 def test_weyr_determinant_grouped_closed_form():
     # chains (5,4,3,1,1): the level-one diagonal parameters a, b, c and
     # the 2x2 tail [[d, g], [f, e]] determine the whole determinant as
@@ -470,6 +495,46 @@ def test_sample_element():
     assert len(seen) > 1
     with pytest.raises(LengthMismatchError):
         sample_element(basis, coeffs=[1, 2])
+
+
+def _reference_sample(basis, coeffs):
+    """sum c_i B_i by Matrix add and scale, one term at a time."""
+    field = basis.field
+    n = basis.generator.rows
+    acc = Matrix.zeros(field, n, n)
+    for c, b in zip(coeffs, basis.elements):
+        acc = acc + b * field.scalar(c)
+    return acc
+
+
+@pytest.mark.parametrize("field, poly, alpha", [
+    (F3, "x^2+1", (2, 1)), (QQ, "x^2+1", (2, 2, 1)),
+    (FT2, "x^2+t*x+t", (2, 1))])
+def test_sample_element_matches_term_by_term_sum(field, poly, alpha):
+    spec = make_spec(Poly.parse(poly, field), alpha, assume_irreducible=True)
+    for basis in (jordan_centralizer_basis(spec),
+                  weyr_centralizer_basis(spec)):
+        rng = random.Random(f"sample:{field.name}")
+        coeffs = [field.zero if i % 3 == 0 else field.random(rng)
+                  for i in range(basis.dim)]
+        if field is QQ:
+            assert any(c.value.denominator > 1 for c in coeffs)
+        assert sample_element(basis, coeffs=coeffs) == \
+            _reference_sample(basis, coeffs)
+        # A seed draws the coefficients in order from random.Random(seed).
+        rng = random.Random(7)
+        drawn = [field.random(rng) for _ in range(basis.dim)]
+        assert sample_element(basis, seed=7) == \
+            _reference_sample(basis, drawn)
+        assert sample_element(basis, coeffs=[0] * basis.dim).is_zero()
+
+
+def test_sample_element_dimension_one():
+    basis = weyr_centralizer_basis(make_spec(Poly.parse("x+1", F3), (1,)))
+    assert basis.dim == 1
+    for c in (0, 1, 2):
+        k = sample_element(basis, coeffs=[c])
+        assert k == Matrix(F3, [[c]]) == _reference_sample(basis, [c])
 
 
 def test_first_kind_basis_no_tilde_terms():

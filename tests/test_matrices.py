@@ -29,7 +29,7 @@ from centra import (
     prime_field,
     rational_function_field,
 )
-from centra.matrices import place_blocks
+from centra.matrices import block_below_diagonal, place_blocks
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -242,6 +242,26 @@ def test_blocks_round_trip():
         assert assemble_blocks(again, layout) == m
     with pytest.raises(ShapeMismatchError):
         assemble_blocks([[Matrix.zeros(F5, 2, 2), Matrix.zeros(F5, 1, 2)]])
+
+
+@pytest.mark.parametrize("field", [F5, QQ, rational_function_field(2)],
+                         ids=lambda f: f.name)
+def test_block_below_diagonal_matches_block_grid(field):
+    rng = random.Random(17)
+    for _ in range(40):
+        sizes = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
+        grid = [[_random_matrix(field, r, c, rng) if rng.random() < 0.3
+                 else Matrix.zeros(field, r, c) for c in sizes]
+                for r in sizes]
+        m = assemble_blocks(grid)
+        layout = BlockLayout.from_sizes(sizes, sizes)
+        first = next(((bi, bj) for bi, row in enumerate(grid)
+                      for bj, block in enumerate(row[:bi])
+                      if not block.is_zero()), None)
+        assert block_below_diagonal(m, layout) == first
+    with pytest.raises(ShapeMismatchError):
+        block_below_diagonal(Matrix.zeros(field, 3, 3),
+                             BlockLayout.from_sizes([1, 1], [1, 1]))
 
 
 def _dense_placement(field, s, nblocks, placed):

@@ -14,6 +14,7 @@ import pytest
 
 from centra import (
     QQ,
+    FieldMismatchError,
     Matrix,
     NotSquareError,
     ParseError,
@@ -31,6 +32,7 @@ from centra import (
     rational_function_field,
     sylvester_system,
 )
+from centra.matrices import place_blocks
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -208,6 +210,13 @@ def test_forms_and_similar_matrices_match_dense_reference(spec_args):
         _check_against_reference(a)
 
 
+def _commutes_checked(a, x):
+    """commutes(a, x), asserted equal to the dense comparison both ways."""
+    got = commutes(a, x)
+    assert got == (a * x == x * a) == commutes(x, a)
+    return got
+
+
 def test_commutes_predicate():
     a = Matrix(F3, [[0, 0], [1, 0]])
     assert commutes(a, Matrix.identity(F3, 2))
@@ -217,6 +226,31 @@ def test_commutes_predicate():
         commutes(a, Matrix.identity(F3, 3))
     with pytest.raises(NotSquareError):
         commutes(Matrix(F3, [[1, 2]]), Matrix(F3, [[1, 2]]))
+    with pytest.raises(FieldMismatchError):
+        commutes(a, Matrix(F5, [[0, 0], [1, 0]]))
+    for field, c in ((F2, "1"), (F5, "3"), (QQ, "3/7"), (FT2, "t/(t+1)")):
+        c = field.scalar(c)
+        one, ident = field.one, Matrix.identity(field, 2)
+        # a is idempotent, so a(I - a) = (I - a)a = 0.  Entry (0,1) of
+        # a(I - a) is c - c, a sum of two nonzero terms that cancels,
+        # while (I - a)a has no term there at all.
+        a = Matrix(field, [[one, c], [0, 0]])
+        assert _commutes_checked(a, ident - a)
+        assert not _commutes_checked(a, ident + a.transpose())
+        # Block-diagonal companions against placements that leave block
+        # row 1 zero: its two rows are one shared row object.
+        comp = companion_matrix(Poly.parse("x^2+x+1", field))
+        diag = place_blocks(field, 2, 3, {(k, k): comp for k in range(3)})
+        x = place_blocks(field, 2, 3, {(0, 1): comp * comp * c,
+                                       (2, 0): ident})
+        assert x._rows[2] is x._rows[3]
+        assert _commutes_checked(diag, x)
+        # One entry more, at (2,2), and the pair no longer commutes.
+        y = x + place_blocks(field, 2, 3,
+                             {(1, 1): Matrix(field, [[c, 0], [0, 0]])})
+        assert sum(u != v for r, q in zip(x._rows, y._rows)
+                   for u, v in zip(r, q)) == 1
+        assert not _commutes_checked(diag, y)
 
 
 def test_dimension_invariant_under_conjugation():

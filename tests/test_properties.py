@@ -29,6 +29,7 @@ from centra import (  # noqa: E402
     Poly,
     centralizer_dimension,
     commutant_dimension,
+    commutes,
     conjugate_by_block_permutation,
     is_irreducible,
     jordan_centralizer_basis,
@@ -36,7 +37,10 @@ from centra import (  # noqa: E402
     make_spec,
     prime_field,
     rational_function_field,
+    sample_element,
+    weyr_centralizer_basis,
     weyr_centralizer_basis_direct,
+    weyr_determinant,
     weyr_form,
     weyr_permutation,
 )
@@ -201,3 +205,51 @@ def test_formula_dimension_equals_oracle(data):
     formula = centralizer_dimension(spec.segre.alpha, spec.s)
     assert commutant_dimension(g) == formula
     assert commutant_dimension(p.inverse() * g * p) == formula
+
+
+@st.composite
+def _commuting_candidates(draw):
+    """(a, x, x is a polynomial in a), n <= 5 (n <= 3 over GF(2)(t)).
+
+    Entries are zero half the time, so rows vanish and product sums
+    cancel; x is a drawn polynomial in a or a drawn matrix.
+    """
+    field, entries, max_n = draw(st.sampled_from(
+        [(prime_field(p), st.integers(0, p - 1), 5) for p in (2, 3)]
+        + [(QQ, _ENTRIES, 5), (rational_function_field(2), _ratfuncs(2), 3)]))
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(0), entries)
+
+    def matrix():
+        return Matrix(field, [[draw(entry) for _ in range(n)]
+                              for _ in range(n)])
+
+    a = matrix()
+    if not draw(st.booleans()):
+        return a, matrix(), False
+    x, power = Matrix.zeros(field, n, n), Matrix.identity(field, n)
+    for _ in range(draw(st.integers(1, 4))):
+        x = x + power * field.scalar(draw(entry))
+        power = power * a
+    return a, x, True
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(_commuting_candidates())
+def test_commutes_equals_dense_comparison(drawn):
+    """commutes(a, x) is exactly a * x == x * a, the dense product."""
+    a, x, polynomial = drawn
+    assert commutes(a, x) == (a * x == x * a)
+    if polynomial:
+        assert commutes(a, x)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(_specs(), st.integers(0, 2 ** 32 - 1))
+def test_level_block_determinant_equals_determinant(spec, seed):
+    """weyr_determinant(k) = det k for seeded samples k of C(W)."""
+    w, basis = weyr_form(spec), weyr_centralizer_basis(spec)
+    for i in range(3):
+        k = sample_element(basis, seed=seed + i)
+        assert commutes(w, k)
+        assert weyr_determinant(k, spec) == k.determinant()
