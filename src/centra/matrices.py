@@ -427,19 +427,19 @@ def extract_blocks(m, layout):
 
 
 def block_below_diagonal(m, layout):
-    """The first nonzero block below the block diagonal, or None.
+    """The first nonzero block below the diagonal of a square block grid.
 
     Block row bi is nonzero below the diagonal when one of its rows has a
     nonzero entry left of col_cuts[bi].  Returns 0-based (bi, bj) for the
-    first such block row and the lowest such bj in it.  Only row slices
-    are read; no block is built.
+    first such block row and the lowest such bj in it, or None.  Only row
+    slices are read; no block is built.
     """
     if layout.row_cuts[-1] != m.rows or layout.col_cuts[-1] != m.cols:
         raise ShapeMismatchError("layout does not cover the matrix")
     rc, cc = layout.row_cuts, layout.col_cuts
     zero = m.field._zero_payload
     for bi in range(1, layout.nrow_blocks):
-        cut = cc[min(bi, layout.ncol_blocks)]
+        cut = cc[bi]
         heads = [r[:cut] for r in m._rows[rc[bi]:rc[bi + 1]]]
         bad = [h for h in heads if h.count(zero) < cut]
         if bad:
