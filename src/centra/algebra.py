@@ -152,7 +152,10 @@ class Field:
     kernels over ascending payload tuples with no trailing zero for Poly
     and the GF(p)(t) payloads.  Both skip zero terms, which are costly in
     Q and GF(p)(t), by comparing with _zero_payload: a GF(p)(t) payload is
-    a tuple and always truthy.
+    a tuple and always truthy.  No subclass overrides them, so each kernel
+    has one definition; its results are canonical because each payload
+    operation returns canonical payloads (GF(p) reduces every sum and
+    product mod p).
 
     row_store() makes the working rows of one elimination for the single
     routine in matrices: payload lists (rows.PayloadRows) here, used by
@@ -224,14 +227,6 @@ class Field:
             if a != zero:
                 acc = [s if b == zero else add(s, mul(a, b))
                        for s, b in zip(acc, brow)]
-        return acc
-
-    def row_dot(self, ra, rb):
-        add, mul, zero = self._add, self._mul, self._zero_payload
-        acc = zero
-        for a, b in zip(ra, rb):
-            if a != zero and b != zero:
-                acc = add(acc, mul(a, b))
         return acc
 
     def row_store(self, rows):
@@ -391,31 +386,6 @@ class PrimeField(Field):
 
     def _random(self, rng):
         return rng.randrange(self.p)
-
-    # Residue row kernels, inline; products accumulate before one reduction.
-
-    def row_add(self, ra, rb):
-        p = self.p
-        return [(a + b) % p for a, b in zip(ra, rb)]
-
-    def row_sub(self, ra, rb):
-        p = self.p
-        return [(a - b) % p for a, b in zip(ra, rb)]
-
-    def row_scale(self, row, c):
-        p = self.p
-        return [c * a % p for a in row]
-
-    def row_matmul(self, arow, brows):
-        acc = [0] * len(brows[0])
-        for a, brow in zip(arow, brows):
-            if a:
-                acc = [s + a * b for s, b in zip(acc, brow)]
-        p = self.p
-        return [s % p for s in acc]
-
-    def row_dot(self, ra, rb):
-        return sum([a * b for a, b in zip(ra, rb)]) % self.p
 
     def row_store(self, rows):
         return PackedRows(self.p, rows)
@@ -590,6 +560,8 @@ def rational_function_field(p):
 
 def field_from_name(text):
     """Resolve a field selector: gf:5, q, gft:2."""
+    if not isinstance(text, str):
+        raise ParseError(f"unknown field selector {text!r}")
     sel = text.strip().lower()
     if sel == "q":
         return QQ

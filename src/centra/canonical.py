@@ -190,28 +190,28 @@ def _coupling_block(p, kind):
     return corner_matrix(p.field, p.degree)
 
 
-def jordan_block(p, ell, kind=E_KIND):
-    if ell < 1:
-        raise NonPositivePartError(f"bad multiplicity {ell}")
+def _chain_form(p, kind, alpha):
+    """Block diagonal of lower block-bidiagonal chains, one per part."""
     c = companion_matrix(p)
     coupling = _coupling_block(p, kind)
-    placed = {(i, i): c for i in range(ell)}
-    for i in range(1, ell):
-        placed[(i, i - 1)] = coupling
-    return place_blocks(p.field, p.degree, ell, placed)
-
-
-def jordan_form(spec):
-    c = companion_matrix(spec.p)
-    coupling = _coupling_block(spec.p, spec.kind)
-    r = spec.segre.r
+    r = sum(alpha)
     placed = {(i, i): c for i in range(r)}
     start = 0
-    for part in spec.segre.alpha:
+    for part in alpha:
         for i in range(start + 1, start + part):
             placed[(i, i - 1)] = coupling
         start += part
-    return place_blocks(spec.field, spec.s, r, placed)
+    return place_blocks(p.field, p.degree, r, placed)
+
+
+def jordan_block(p, ell, kind=E_KIND):
+    if ell < 1:
+        raise NonPositivePartError(f"bad multiplicity {ell}")
+    return _chain_form(p, kind, (ell,))
+
+
+def jordan_form(spec):
+    return _chain_form(spec.p, spec.kind, spec.segre.alpha)
 
 
 def dn_split(spec):

@@ -23,6 +23,13 @@ elements live on block "slots":
 One scalar parameter therefore means one (cell, slot, power-of-C) triple;
 bases are emitted in lexicographic order of those labels, 1-based, which
 fixes the layout for golden files.
+
+Both placement routes run one scaffold, _placed_basis: the label loop,
+the powers of C and their tildes, place_blocks and the layout.  A route
+gives only its cell map, the block positions of one (cell, slot) and
+which take the tilde: from chain starts and in-cell offsets, or from
+level positions and level-pair slots.  The maps share no code, so the
+cross-check in weyr_centralizer_basis compares independent readings.
 """
 
 import random
@@ -95,10 +102,10 @@ def companion_centralizer_element(c, v):
     if len(v) != s:
         raise ShapeMismatchError(f"first column has {len(v)} entries, need {s}")
     field = c.field
+    ct = c.transpose()._rows
     cols = [[field.scalar(e).value for e in v]]
     for _ in range(s - 1):
-        prev = cols[-1]
-        cols.append([field.row_dot(crow, prev) for crow in c._rows])
+        cols.append(field.row_matmul(cols[-1], ct))
     return Matrix._from_payloads(field, zip(*cols))
 
 
@@ -168,16 +175,6 @@ def solve_corner_coupling(c, e, x):
     return x, AffineFamily(xt, companion_centralizer_basis(c).elements)
 
 
-def _c_powers_and_tildes(p):
-    c = companion_matrix(p)
-    powers = []
-    m = Matrix.identity(p.field, p.degree)
-    for _ in range(p.degree):
-        powers.append(m)
-        m = m * c
-    return powers, [last_row_toeplitz(z) for z in powers]
-
-
 def _cell_slot_offsets(alpha_i, alpha_j, k):
     """In-cell block-diagonal offsets of slot k and its tilde successor.
 
@@ -190,38 +187,54 @@ def _cell_slot_offsets(alpha_i, alpha_j, k):
     return d0, d0 + 1
 
 
+def _placed_basis(spec, generator, cell):
+    """Basis of the commutant of generator: one placement per label.
+
+    For chain pair (ci, cj) and slot k (1-based, k <= both parts),
+    cell(ci, cj, k) maps each block position of the slot to is_tilde.
+    Element (ci, cj, k, e) puts C^(e-1) at the positions that map to
+    False and, in the corner kind only, tilde(C^(e-1)) at those that map
+    to True; in the first kind the slots are independent.
+    """
+    field, s, segre = spec.field, spec.s, spec.segre
+    alpha = segre.alpha
+    powers = companion_centralizer_basis(companion_matrix(spec.p)).elements
+    tildes = [last_row_toeplitz(z) for z in powers]
+    chained = spec.kind == E_KIND
+    elems = []
+    layout = []
+    for ci in range(1, segre.m + 1):
+        for cj in range(1, segre.m + 1):
+            for k in range(1, min(alpha[ci - 1], alpha[cj - 1]) + 1):
+                blocks = cell(ci, cj, k)
+                if not chained:
+                    blocks = {at: t for at, t in blocks.items() if not t}
+                for e, z in enumerate(zip(powers, tildes), start=1):
+                    # z[False] is C^(e-1) and z[True] its tilde.
+                    placed = {at: z[t] for at, t in blocks.items()}
+                    elems.append(place_blocks(field, s, segre.r, placed))
+                    layout.append(ParamSlot(ci, cj, k, e))
+    return CentralizerBasis(generator, tuple(elems), tuple(layout))
+
+
 def jordan_centralizer_basis(spec):
     """Basis of the commutant of the full block-diagonal form.
 
     Cells are chain pairs; each carries an independent copy of the
-    single-block structure for the shorter chain.  Emitted in
-    lexicographic (cell, slot, power) order.
+    single-block structure for the shorter chain, read off the chain
+    starts.  Emitted in lexicographic (cell, slot, power) order.
     """
-    segre = spec.segre
-    alpha = segre.alpha
-    s = spec.s
-    powers, tildes = _c_powers_and_tildes(spec.p)
-    chained = spec.kind == E_KIND
-    starts = [sig - a for sig, a in zip(segre.sigma, alpha)]
-    elems = []
-    layout = []
-    for ci in range(segre.m):
-        for cj in range(segre.m):
-            beta = min(alpha[ci], alpha[cj])
-            for k in range(1, beta + 1):
-                d0, d1 = _cell_slot_offsets(alpha[ci], alpha[cj], k)
-                for e in range(1, s + 1):
-                    placed = {}
-                    for a in range(d0, alpha[ci]):
-                        placed[(starts[ci] + a, starts[cj] + a - d0)] = \
-                            powers[e - 1]
-                    if chained:
-                        for a in range(d1, alpha[ci]):
-                            placed[(starts[ci] + a, starts[cj] + a - d1)] = \
-                                tildes[e - 1]
-                    elems.append(place_blocks(spec.field, s, segre.r, placed))
-                    layout.append(ParamSlot(ci + 1, cj + 1, k, e))
-    return CentralizerBasis(jordan_form(spec), tuple(elems), tuple(layout))
+    alpha = spec.segre.alpha
+    starts = [sig - a for sig, a in zip(spec.segre.sigma, alpha)]
+
+    def cell(ci, cj, k):
+        ai, row, col = alpha[ci - 1], starts[ci - 1], starts[cj - 1]
+        d0, d1 = _cell_slot_offsets(ai, alpha[cj - 1], k)
+        blocks = {(row + a, col + a - d0): False for a in range(d0, ai)}
+        blocks.update({(row + a, col + a - d1): True for a in range(d1, ai)})
+        return blocks
+
+    return _placed_basis(spec, jordan_form(spec), cell)
 
 
 def _weyr_positions(segre):
@@ -244,32 +257,20 @@ def _weyr_slot(alpha_i, alpha_j, k1, k2):
 
 def weyr_centralizer_basis_direct(spec):
     """Level-grid placement of the same parameters, no permutation used."""
-    segre = spec.segre
-    alpha = segre.alpha
-    s = spec.s
-    powers, tildes = _c_powers_and_tildes(spec.p)
-    chained = spec.kind == E_KIND
-    pos = _weyr_positions(segre)
-    elems = []
-    layout = []
-    for ci in range(1, segre.m + 1):
-        for cj in range(1, segre.m + 1):
-            ai, aj = alpha[ci - 1], alpha[cj - 1]
-            beta = min(ai, aj)
-            for k in range(1, beta + 1):
-                for e in range(1, s + 1):
-                    placed = {}
-                    for k1 in range(1, ai + 1):
-                        for k2 in range(1, aj + 1):
-                            slot = _weyr_slot(ai, aj, k1, k2)
-                            at = (pos[(k1, ci)], pos[(k2, cj)])
-                            if slot == k:
-                                placed[at] = powers[e - 1]
-                            elif chained and slot == k + 1:
-                                placed[at] = tildes[e - 1]
-                    elems.append(place_blocks(spec.field, s, segre.r, placed))
-                    layout.append(ParamSlot(ci, cj, k, e))
-    return CentralizerBasis(weyr_form(spec), tuple(elems), tuple(layout))
+    alpha = spec.segre.alpha
+    pos = _weyr_positions(spec.segre)
+
+    def cell(ci, cj, k):
+        ai, aj = alpha[ci - 1], alpha[cj - 1]
+        blocks = {}
+        for k1 in range(1, ai + 1):
+            for k2 in range(1, aj + 1):
+                slot = _weyr_slot(ai, aj, k1, k2)
+                if slot in (k, k + 1):
+                    blocks[(pos[(k1, ci)], pos[(k2, cj)])] = slot != k
+        return blocks
+
+    return _placed_basis(spec, weyr_form(spec), cell)
 
 
 def weyr_centralizer_basis(spec):

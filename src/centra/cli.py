@@ -275,7 +275,8 @@ def main(argv=None):
         ns = _build_parser().parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except (CentraError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A message may quote user text with line breaks: keep one line.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

@@ -3,17 +3,21 @@
 A Matrix stores the field's payloads, not Scalars: residue ints for GF(p),
 Fractions for Q and, for GF(p)(t), (num, den) pairs of residue-int tuples
 (den monic, coprime to num), row-major in tuples and immutable after
-construction.  Arithmetic runs whole rows through the field's row
-kernels (Field.row_add, row_scale, row_matmul, ...), so no entry is
-boxed on the way.  Scalars appear only at the boundary:
+construction.  Arithmetic runs whole rows through one set of row
+kernels, Field's row_add, row_sub, row_scale and row_matmul, shared by
+every field: they skip zero entries and return canonical payloads, so
+no entry is boxed on the way.  Scalars appear only at the boundary:
 indexing, row(), flat(), column_values(), determinant() and parsing or
 formatting.  Code in this package that already holds payload rows uses
 the unchecked Matrix._from_payloads.
 
-Row tuples may be shared within a matrix and between matrices, and must
-never be mutated: place_blocks gives every row that no block reaches
-one zero row, conjugate_by_block_permutation remaps each distinct row
-object once and keeps the sharing, and matrix_to_text formats each
+place_blocks is the one block assembler: the canonical forms, the
+centralizer bases and block_permutation_matrix are all placements of
+s x s blocks in a square block grid.  Row tuples may be shared within a
+matrix and between matrices, and must never be mutated: place_blocks
+gives every row that no block reaches one zero row,
+conjugate_by_block_permutation remaps each distinct row object once and
+keeps the sharing, and matrix_to_text and matrix_to_json_obj format each
 distinct row object once.
 
 One forward routine (_forward) and one kernel routine (_kernel_vectors)
@@ -47,6 +51,7 @@ with integer entries for GF(p) and scalar-syntax strings otherwise.
 """
 
 from bisect import bisect_right
+from itertools import accumulate
 from operator import itemgetter
 
 from .algebra import PrimeField, Scalar, field_from_name
@@ -345,53 +350,11 @@ class BlockLayout:
 
     @classmethod
     def from_sizes(cls, row_sizes, col_sizes):
-        rc = [0]
-        for s in row_sizes:
-            rc.append(rc[-1] + s)
-        cc = [0]
-        for s in col_sizes:
-            cc.append(cc[-1] + s)
-        return cls(rc, cc)
+        return cls((0, *accumulate(row_sizes)), (0, *accumulate(col_sizes)))
 
     @property
     def nrow_blocks(self):
         return len(self.row_cuts) - 1
-
-    @property
-    def ncol_blocks(self):
-        return len(self.col_cuts) - 1
-
-
-def assemble_blocks(grid, layout=None):
-    """Concatenate a rectangular grid of matrices into one matrix."""
-    if not grid or not grid[0]:
-        raise ShapeMismatchError("empty block grid")
-    field = grid[0][0].field
-    row_sizes = [row[0].rows for row in grid]
-    col_sizes = [b.cols for b in grid[0]]
-    for bi, row in enumerate(grid):
-        if len(row) != len(col_sizes):
-            raise ShapeMismatchError("ragged block grid")
-        for bj, block in enumerate(row):
-            if block.rows != row_sizes[bi] or block.cols != col_sizes[bj]:
-                raise ShapeMismatchError(
-                    f"block ({bi},{bj}) is {block.rows}x{block.cols}, "
-                    f"expected {row_sizes[bi]}x{col_sizes[bj]}")
-            if block.field is not field and block.field != field:
-                raise ShapeMismatchError("mixed fields in block grid")
-    if layout is not None:
-        expect = BlockLayout.from_sizes(row_sizes, col_sizes)
-        if (layout.row_cuts, layout.col_cuts) != (expect.row_cuts,
-                                                  expect.col_cuts):
-            raise ShapeMismatchError("grid does not match the given layout")
-    rows = []
-    for brow in grid:
-        for i in range(brow[0].rows):
-            line = []
-            for block in brow:
-                line.extend(block._rows[i])
-            rows.append(line)
-    return Matrix._from_payloads(field, rows)
 
 
 def place_blocks(field, s, nblocks, placed):
@@ -408,22 +371,6 @@ def place_blocks(field, s, nblocks, placed):
                 rows[i] = list(zero)
             rows[i][bj * s:bj * s + s] = brow
     return Matrix._from_payloads(field, rows)
-
-
-def extract_blocks(m, layout):
-    """Inverse of assemble_blocks for a given layout."""
-    if layout.row_cuts[-1] != m.rows or layout.col_cuts[-1] != m.cols:
-        raise ShapeMismatchError("layout does not cover the matrix")
-    grid = []
-    rc, cc = layout.row_cuts, layout.col_cuts
-    for bi in range(layout.nrow_blocks):
-        row = []
-        for bj in range(layout.ncol_blocks):
-            row.append(Matrix._from_payloads(
-                m.field, [m._rows[i][cc[bj]:cc[bj + 1]]
-                          for i in range(rc[bi], rc[bi + 1])]))
-        grid.append(row)
-    return grid
 
 
 def block_below_diagonal(m, layout):
@@ -494,13 +441,10 @@ def conjugate_by_block_permutation(a, perm, s):
 
 def block_permutation_matrix(field, perm, s):
     """The matrix P whose conjugation equals the index remapping above."""
-    n = len(perm) * s
-    _check_block_perm(n, perm, s)
-    rows = [[field._zero_payload] * n for _ in range(n)]
-    for b, src in enumerate(perm):
-        for k in range(s):
-            rows[src * s + k][b * s + k] = field._one_payload
-    return Matrix._from_payloads(field, rows)
+    _check_block_perm(len(perm) * s, perm, s)
+    ident = Matrix.identity(field, s)
+    return place_blocks(field, s, len(perm),
+                        {(src, b): ident for b, src in enumerate(perm)})
 
 
 def matrix_to_text(m):
@@ -533,11 +477,12 @@ def matrix_from_text(text):
 
 
 def matrix_to_json_obj(m):
+    """The JSON object; rows that share a row object share one list."""
     if isinstance(m.field, PrimeField):
-        entries = [list(r) for r in m._rows]
+        entries = _once_per_row(list, m._rows)
     else:
         fmt = m.field._format
-        entries = [list(map(fmt, r)) for r in m._rows]
+        entries = _once_per_row(lambda r: list(map(fmt, r)), m._rows)
     return {"rows": m.rows, "cols": m.cols, "field": m.field.name,
             "entries": entries}
 

@@ -15,12 +15,11 @@ from centra import (
     QQ,
     ShapeMismatchError,
     SingularMatrixError,
-    assemble_blocks,
     block_permutation_matrix,
+    companion_centralizer_element,
     companion_matrix,
     conjugate_by_block_permutation,
     corner_matrix,
-    extract_blocks,
     matrix_from_json_obj,
     matrix_from_text,
     matrix_to_json_obj,
@@ -34,6 +33,7 @@ from centra.matrices import block_below_diagonal, place_blocks
 F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
+F_BIG = prime_field(4294967291)
 
 
 def _random_matrix(field, rows, cols, rng):
@@ -55,6 +55,46 @@ def test_basic_arithmetic():
         assert a * (b + c) == a * b + a * c
         assert a - a == Matrix.zeros(field, 3, 3)
         assert -a + a == Matrix.zeros(field, 3, 3)
+
+
+def _sparse_matrix(field, rows, cols, rng):
+    """Random entries with many zeros and some -1s."""
+    draws = (lambda: field.zero, lambda: -field.one, lambda: field.random(rng))
+    return Matrix(field, [[rng.choice(draws)() for _ in range(cols)]
+                          for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", [F2, F_BIG, QQ, rational_function_field(2)],
+                         ids=lambda f: f.name)
+def test_row_kernels_match_scalar_reference(field):
+    """+, -, scalar *, matrix * and [v, Cv, ...], entry by Scalar entry."""
+    rng = random.Random(47)
+    for _ in range(15):
+        n, m, k = (rng.randrange(1, 6) for _ in range(3))
+        a, b = (_sparse_matrix(field, n, m, rng) for _ in range(2))
+        c = _sparse_matrix(field, m, k, rng)
+
+        def entrywise(fn):
+            return Matrix(field, [[fn(i, j) for j in range(m)]
+                                  for i in range(n)])
+
+        assert a + b == entrywise(lambda i, j: a[i, j] + b[i, j])
+        assert a - b == entrywise(lambda i, j: a[i, j] - b[i, j])
+        for x in (field.zero, -field.one, field.random(rng), -7):
+            scaled = entrywise(lambda i, j: a[i, j] * x)
+            assert a * x == scaled
+            assert x * a == scaled
+        assert a * c == Matrix(field, [
+            [sum([a[i, t] * c[t, j] for t in range(m)], field.zero)
+             for j in range(k)] for i in range(n)])
+        sq = _sparse_matrix(field, m, m, rng)
+        cols = [[rng.choice((field.zero, field.random(rng)))
+                 for _ in range(m)]]
+        for _ in range(m - 1):
+            cols.append([sum([sq[i, t] * cols[-1][t] for t in range(m)],
+                             field.zero) for i in range(m)])
+        assert companion_centralizer_element(sq, cols[0]) == \
+            Matrix(field, list(zip(*cols)))
 
 
 def test_scalar_and_int_scaling():
@@ -228,22 +268,6 @@ def test_block_layout_validation():
         BlockLayout((0,), (0, 1))
 
 
-def test_blocks_round_trip():
-    rng = random.Random(15)
-    for _ in range(40):
-        rsizes = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 4))]
-        csizes = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 4))]
-        grid = [[_random_matrix(F5, r, c, rng) for c in csizes]
-                for r in rsizes]
-        m = assemble_blocks(grid)
-        layout = BlockLayout.from_sizes(rsizes, csizes)
-        again = extract_blocks(m, layout)
-        assert again == grid
-        assert assemble_blocks(again, layout) == m
-    with pytest.raises(ShapeMismatchError):
-        assemble_blocks([[Matrix.zeros(F5, 2, 2), Matrix.zeros(F5, 1, 2)]])
-
-
 @pytest.mark.parametrize("field", [F5, QQ, rational_function_field(2)],
                          ids=lambda f: f.name)
 def test_block_below_diagonal_matches_block_grid(field):
@@ -253,7 +277,8 @@ def test_block_below_diagonal_matches_block_grid(field):
         grid = [[_random_matrix(field, r, c, rng) if rng.random() < 0.3
                  else Matrix.zeros(field, r, c) for c in sizes]
                 for r in sizes]
-        m = assemble_blocks(grid)
+        m = Matrix(field, [[v for block in brow for v in block.row(i)]
+                           for brow in grid for i in range(brow[0].rows)])
         layout = BlockLayout.from_sizes(sizes, sizes)
         first = next(((bi, bj) for bi, row in enumerate(grid)
                       for bj, block in enumerate(row[:bi])

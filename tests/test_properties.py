@@ -8,7 +8,9 @@ directory.  The suite is skipped where hypothesis is not installed (it
 is a dev dependency only).
 """
 
+import contextlib
 import functools
+import io
 import itertools
 import tempfile
 from fractions import Fraction
@@ -25,16 +27,20 @@ from centra import (  # noqa: E402
     E_KIND,
     FIRST_KIND,
     QQ,
+    CentraError,
     Matrix,
     Poly,
     centralizer_dimension,
     commutant_dimension,
     commutes,
     conjugate_by_block_permutation,
+    field_from_name,
     is_irreducible,
     jordan_centralizer_basis,
     jordan_form,
     make_spec,
+    matrix_from_json_obj,
+    matrix_from_text,
     prime_field,
     rational_function_field,
     sample_element,
@@ -44,6 +50,7 @@ from centra import (  # noqa: E402
     weyr_form,
     weyr_permutation,
 )
+from centra.cli import main  # noqa: E402
 from test_elimination import _check  # noqa: E402
 from test_oracle import _check_against_reference  # noqa: E402
 
@@ -253,3 +260,166 @@ def test_level_block_determinant_equals_determinant(spec, seed):
         k = sample_element(basis, seed=seed + i)
         assert commutes(w, k)
         assert weyr_determinant(k, spec) == k.determinant()
+
+
+# -- fuzzing: bad text ends in a CentraError, and the CLI in exit 0, 1 or 2
+
+# Glue holds no decimal digit, so every digit run is one drawn number of
+# at most two digits: exponents stay small and each call takes
+# milliseconds.
+_GLUE = st.one_of(
+    st.sampled_from(["x", "t", "^", "+", "-", "*", "/", "(", ")", " ", ",",
+                     ":", ".", "e", "\n", "gf", "gft", "q", "{", "}", "[",
+                     "]", '"', "_"]),
+    st.characters(blacklist_categories=("Nd", "Cs")))
+_NUMBER = st.one_of(st.just(""), st.integers(0, 12).map(str))
+_TEXT = st.tuples(_NUMBER, st.lists(st.tuples(_GLUE, _NUMBER), max_size=8)
+                  ).map(lambda d: d[0] + "".join(g + n for g, n in d[1]))
+_FIELD_NAMES = st.one_of(
+    _TEXT,
+    st.sampled_from(["gf:2", "gf:5", "q", "gft:2", "gf:4", "GFT:3", " q "]),
+    st.builds(str.__add__, st.sampled_from(["gf:", "gft:", "gf: "]),
+              st.integers(-3, 2 ** 33).map(str)))
+_MATRIX_TEXTS = st.one_of(_TEXT, st.builds(
+    lambda r, c, f, lines: "\n".join([f"{r} {c} {f}", *lines]),
+    _NUMBER, _NUMBER, _FIELD_NAMES, st.lists(_TEXT, max_size=4)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+    | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6)
+_MATRIX_KEYS = {
+    "rows": st.integers(-1, 3) | _JSON,
+    "cols": st.integers(-1, 3) | _JSON,
+    "field": _FIELD_NAMES | _JSON,
+    "entries": st.lists(st.lists(st.integers(-9, 9) | _TEXT | _JSON,
+                                 max_size=3), max_size=3) | _JSON}
+_MATRIX_OBJS = st.one_of(_JSON, st.fixed_dictionaries(_MATRIX_KEYS),
+                         st.fixed_dictionaries({}, optional=_MATRIX_KEYS))
+_PARSE_FIELDS = [prime_field(2), prime_field(5), QQ, rational_function_field(2)]
+
+
+def _only_centra_errors(fn, *args):
+    try:
+        fn(*args)
+    except CentraError:
+        pass
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_TEXT, _FIELD_NAMES, _MATRIX_TEXTS)
+def test_text_parsers_raise_only_centra_errors(text, name, matrix_text):
+    """Poly.parse, scalar literals, field names and matrix text."""
+    for field in _PARSE_FIELDS:
+        _only_centra_errors(Poly.parse, text, field)
+        _only_centra_errors(field.scalar, text)
+    _only_centra_errors(field_from_name, name)
+    _only_centra_errors(matrix_from_text, matrix_text)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_MATRIX_OBJS)
+def test_matrix_objects_raise_only_centra_errors(obj):
+    """matrix_from_json_obj on JSON values and near-matrix objects."""
+    _only_centra_errors(matrix_from_json_obj, obj)
+
+
+_INPUTS = {
+    "@weyr": "4 4 gf:2\n1 1 0 1\n0 1 1 0\n0 0 1 1\n0 0 0 1",
+    "@json": '{"rows": 2, "cols": 2, "field": "q", '
+             '"entries": [["1/2", "0"], ["3", "-1"]]}',
+    "@wide": "1 2 gf:3\n1 2",
+    "@bad": "2 2 gf:3\n1 x\n0 1",
+}
+_SPEC_FLAGS = st.sampled_from([
+    ("gf:2", "x^2+x+1"), ("gf:2", "x"), ("gf:2", "x^3+x+1"),
+    ("gf:3", "x^2+1"), ("gf:3", "x+2"), ("q", "x^2-2"), ("q", "x-1/2"),
+    ("gft:2", "x^2+t"), ("gft:2", "x+t"), ("gf:2", "x^2+1"), ("gf:4", "x"),
+    ("q", "x^2-1"), ("gf:3", "2*x"), ("gf:3", ""), ("gf:2", "x^^2")])
+_PARTITION = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda a: sum(a) <= 6).map(
+    lambda a: ",".join(map(str, sorted(a, reverse=True))))
+_PARTS = st.lists(st.integers(-1, 4), max_size=3).filter(
+    lambda a: sum(a) <= 6).map(lambda a: ",".join(map(str, a)))
+_ALPHA = st.sampled_from([_PARTITION] * 3 + [_PARTS, _TEXT]).flatmap(
+    lambda strategy: strategy)
+_CLI_VALUES = {
+    "--kind": st.sampled_from(["e", "first", "third"]),
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--seed": st.sampled_from(["0", "7", "-1", "x"]),
+    "--max-n": st.sampled_from(["0", "3", "40", "-1", "x"]),
+    "--form": st.sampled_from(["jordan", "weyr", "other"]),
+    "--samples": st.sampled_from(["0", "2", "-1", "x"]),
+    "--input": st.sampled_from([*_INPUTS, "@missing", "@dir"]),
+    "--alpha": _ALPHA,
+}
+_SPEC_ONLY = ["--kind", "--assume-irreducible", "--alpha"]
+_COMMAND_FLAGS = {
+    "jordan": _SPEC_ONLY, "weyr": _SPEC_ONLY, "permutation": _SPEC_ONLY,
+    "centralizer": [*_SPEC_ONLY, "--form"], "dim": [*_SPEC_ONLY, "--oracle"],
+    "det": [*_SPEC_ONLY, "--input"], "verify": [*_SPEC_ONLY, "--samples"],
+    "oracle": ["--input"]}
+_JUNK = st.one_of(_TEXT, st.sampled_from(
+    ["--oracle", "--form", "--samples", "--input", "--no-such-flag", "--",
+     "-", "-h", "a\nb", "\r", "\x1e", "\u2028"]))
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed invocations: a command, its spec, drawn flags.
+
+    Parts stay <= 4 and r <= 6, so no call runs long.  One time in five a
+    junk token (text, a line break, a flag of another command, -h) goes
+    in at a drawn place.
+    """
+    command = draw(st.sampled_from([*_COMMAND_FLAGS]))
+    argv = [command]
+    if command != "oracle":
+        field, poly = draw(_SPEC_FLAGS)
+        argv += ["--field", field, "--poly", poly, "--alpha", draw(_ALPHA)]
+        if field in ("q", "gft:2") and draw(st.booleans()):
+            argv.append("--assume-irreducible")
+    if command in ("det", "oracle"):
+        argv += ["--input", draw(_CLI_VALUES["--input"])]
+    flags = ["--format", "--seed", "--max-n", *_COMMAND_FLAGS[command]]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(flags))
+        argv.append(flag)
+        if flag in _CLI_VALUES:
+            argv.append(draw(_CLI_VALUES[flag]))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {"@missing": str(root / "missing"), "@dir": str(root)}
+    for key, text in _INPUTS.items():
+        path = root / key[1:]
+        path.write_text(text)
+        paths[key] = str(path)
+    return paths
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(argv=_argvs())
+def test_cli_exit_status_contract(input_paths, argv):
+    """Exit 0, 1 (verify or det only) or 2 with one error: line."""
+    argv = [input_paths.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # -h prints the usage and exits 0
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert {"verify", "det"} & set(argv)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        assert err.getvalue() == ""
