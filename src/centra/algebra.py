@@ -27,6 +27,7 @@ coefficient and variable, e.g. ``x^3+2*x+1``.  Scalar literals are
 field-dependent: ``3``, ``2/7``, ``(t^2+1)/(t+1)``.
 """
 
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -38,10 +39,18 @@ from .errors import (
     IrreducibilityUnsupportedError,
     NotMonicError,
     ParseError,
+    TooLargeError,
 )
 from .rows import PackedRows, PayloadRows, RationalRows
 
 NEG_INF = float("-inf")
+
+# The size cap: the largest degree Poly.parse accepts (so the largest x^N
+# or t^N term), the largest decimal exponent of a Q literal, and the
+# largest n = s * sum(alpha) canonical.make_spec accepts.  It sits far
+# above what any dense exact computation here finishes, and exists so an
+# absurd size ends at once in TooLargeError instead of being built.
+SIZE_CAP = 10 ** 5
 
 
 class Scalar:
@@ -435,10 +444,19 @@ class RationalField(Field):
         return a / b
 
     def _parse(self, text):
+        # Fraction builds 10**exponent in full, so a literal with a huge
+        # exponent is checked with its digits zeroed, then refused.
+        head, e, exp = text.lower().rpartition("e")
         try:
-            return Fraction(text)
+            small = not e or abs(int(exp)) <= SIZE_CAP
+            value = Fraction(text if small else
+                             head + e + re.sub(r"\d", "0", exp))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational literal {text!r}") from None
+        if not small:
+            raise TooLargeError(
+                f"exponent in {text!r} exceeds the size cap {SIZE_CAP}")
+        return value
 
     def _format(self, a):
         return str(a)
@@ -519,8 +537,10 @@ class RationalFunctionField(Field):
         text = "".join(text.split())
         if not text:
             raise ParseError(f"empty {self.name} literal")
-        cut = _toplevel_slash(text)
-        halves = (text, "1") if cut is None else (text[:cut], text[cut + 1:])
+        cuts = _toplevel(text, "/")
+        if len(cuts) > 1:
+            raise ParseError(f"more than one '/' in {text!r}")
+        halves = (text[:cuts[0]], text[cuts[0] + 1:]) if cuts else (text, "1")
         num, den = (Poly.parse(_strip_parens(h), self.base, var="t").coeffs
                     for h in halves)
         return self._reduce(num, den)
@@ -576,36 +596,31 @@ def field_from_name(text):
     raise ParseError(f"unknown field selector {text!r}")
 
 
-def _toplevel_slash(text):
-    """Index of the single '/' outside parentheses, or None."""
+def _toplevel(text, chars):
+    """Indices of the characters in chars that sit outside parentheses.
+
+    A ')' that closes a group counts as outside.  Raises ParseError when
+    the parentheses do not balance.
+    """
+    found = []
     depth = 0
-    found = None
     for i, c in enumerate(text):
         if c == "(":
             depth += 1
         elif c == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        elif c == "/" and depth == 0:
-            if found is not None:
-                raise ParseError(f"more than one '/' in {text!r}")
-            found = i
-    if depth != 0:
+                break
+        if depth == 0 and c in chars:
+            found.append(i)
+    if depth:
         raise ParseError(f"unbalanced parentheses in {text!r}")
     return found
 
 
 def _strip_parens(text):
-    while len(text) >= 2 and text[0] == "(" and text[-1] == ")":
-        depth = 0
-        for i, c in enumerate(text):
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0 and i < len(text) - 1:
-                    return text
+    """text without the parentheses that enclose all of it."""
+    while text[:1] == "(" and _toplevel(text, ")")[0] == len(text) - 1:
         text = text[1:-1]
     return text
 
@@ -754,47 +769,26 @@ def _split_terms(text):
     """Split at top-level +/- into (sign, term) pairs."""
     out = []
     sign = 1
-    buf = []
-    depth = 0
-    for c in text:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and c in "+-" and buf:
-            out.append((sign, "".join(buf)))
-            buf = []
-            sign = 1 if c == "+" else -1
-            continue
-        if depth == 0 and c in "+-" and not buf:
-            sign = sign if c == "+" else -sign
-            continue
-        buf.append(c)
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    if not buf:
+    start = 0
+    for i in _toplevel(text, "+-"):
+        if i > start:
+            out.append((sign, text[start:i]))
+            sign = 1
+        if text[i] == "-":
+            sign = -sign
+        start = i + 1
+    if start == len(text):
         raise ParseError(f"dangling sign in {text!r}")
-    out.append((sign, "".join(buf)))
+    out.append((sign, text[start:]))
     return out
 
 
 def _parse_term(term, field, var):
     """One term -> (exponent, coefficient Scalar)."""
-    depth = 0
-    cut = None
-    for i, c in enumerate(term):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == var and depth == 0:
-            cut = i
-            break
-    if cut is None:
+    cuts = _toplevel(term, var)
+    if not cuts:
         return 0, field.scalar(term)
-    prefix, suffix = term[:cut], term[cut + 1:]
+    prefix, suffix = term[:cuts[0]], term[cuts[0] + 1:]
     if prefix.endswith("*"):
         prefix = prefix[:-1]
     coeff = field.one if not prefix else field.scalar(prefix)
@@ -808,6 +802,9 @@ def _parse_term(term, field, var):
         raise ParseError(f"bad exponent in {term!r}") from None
     if e < 0:
         raise ParseError(f"negative exponent in {term!r}")
+    if e > SIZE_CAP:
+        raise TooLargeError(
+            f"degree {e} in {term!r} exceeds the size cap {SIZE_CAP}")
     return e, coeff
 
 
@@ -822,7 +819,7 @@ def poly_text(field, coeffs, var):
         if c == zero:
             continue
         cs = field._format(c)
-        if _needs_parens(cs):
+        if any(i > 0 for i in _toplevel(cs, "+-")):
             cs = f"({cs})"
         if e == 0:
             parts.append(cs)
@@ -831,18 +828,6 @@ def poly_text(field, coeffs, var):
             parts.append(v if c == one else f"{cs}*{v}")
     text = "+".join(parts)
     return text.replace("+-", "-")
-
-
-def _needs_parens(text):
-    depth = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c in "+-" and depth == 0 and i > 0:
-            return True
-    return False
 
 
 def poly_gcd(a, b):

@@ -23,7 +23,7 @@ All constructions are plain index placement; no elimination is involved.
 
 from dataclasses import dataclass
 
-from .algebra import is_irreducible, is_separable
+from .algebra import SIZE_CAP, is_irreducible, is_separable
 from .errors import (
     DegreeZeroError,
     NonPositivePartError,
@@ -33,13 +33,9 @@ from .errors import (
     NotSortedDescendingError,
     ParseError,
     ReducibleError,
+    TooLargeError,
 )
-from .matrices import (
-    Matrix,
-    block_permutation_matrix,
-    place_blocks,
-    poly_at_matrix,
-)
+from .matrices import Matrix, place_blocks, poly_at_matrix
 
 E_KIND = "e"
 FIRST_KIND = "first"
@@ -151,6 +147,9 @@ def make_spec(p, alpha, kind=E_KIND, assume_irreducible=False):
     if kind == FIRST_KIND and not is_separable(p):
         raise NonSeparableFirstKindError(
             f"first-kind blocks need a separable polynomial, got {p!r}")
+    n = p.degree * sum(_validated_partition(alpha))
+    if n > SIZE_CAP:
+        raise TooLargeError(f"n = {n} exceeds the size cap {SIZE_CAP}")
     return CanonicalSpec(p, kind, segre_indexing(alpha))
 
 
@@ -228,16 +227,14 @@ def weyr_permutation(spec):
     Position g of the returned order holds the (0-based) Jordan block
     index that moves to Weyr position g: level by level, chain by chain,
     the k-th level collects block sigma_i - k + 1 (1-based) of every chain
-    with alpha_i >= k.  Also returns the permutation matrix P; conjugating
-    the Jordan form by it (entry remapping) yields the Weyr form.
+    with alpha_i >= k.  Only the order is built: conjugating the Jordan
+    form by it (matrices.conjugate_by_block_permutation, an entry remap)
+    yields the Weyr form, and block_permutation_matrix(field, order, s)
+    gives the matrix P with P^-1 G P = W where one is wanted.
     """
-    segre = spec.segre
-    order = []
-    for k in range(1, segre.alpha[0] + 1):
-        for i in range(segre.tau[k - 1]):
-            order.append(segre.sigma[i] - k)
-    p_mat = block_permutation_matrix(spec.field, order, spec.s)
-    return order, p_mat
+    sigma = spec.segre.sigma
+    return [sigma[i] - k for k, width in enumerate(spec.segre.tau, 1)
+            for i in range(width)]
 
 
 def weyr_form(spec):

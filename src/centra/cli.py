@@ -19,7 +19,11 @@ from .centralizers import (
     weyr_determinant,
 )
 from .commutant import commutant_basis, commutant_dimension
-from .errors import CentraError, ParseError
+from .errors import (
+    CentraError,
+    IrreducibilityUnsupportedError,
+    ParseError,
+)
 from .matrices import (
     matrix_from_json_obj,
     matrix_from_text,
@@ -45,8 +49,13 @@ def _canonical_spec(task):
     if not alpha:
         raise ParseError("--alpha is required for this command")
     p = Poly.parse(task.poly, fld, var="x")
-    return make_spec(p, alpha, kind=task.kind,
-                     assume_irreducible=task.assume_irreducible)
+    try:
+        return make_spec(p, alpha, kind=task.kind,
+                         assume_irreducible=task.assume_irreducible)
+    except IrreducibilityUnsupportedError:
+        raise IrreducibilityUnsupportedError(
+            f"no exact irreducibility test over {fld.name}; pass "
+            "--assume-irreducible to accept the hypothesis") from None
 
 
 def _read_matrix(path):
@@ -85,7 +94,7 @@ def _cmd_form(task):
 
 def _cmd_permutation(task):
     spec = _canonical_spec(task)
-    order, _ = weyr_permutation(spec)
+    order = weyr_permutation(spec)
     levels = []
     at = 0
     for width in spec.segre.tau:

@@ -87,7 +87,7 @@ class LengthMismatchError(CentraError):
 
 
 class TooLargeError(CentraError):
-    """The brute-force commutant system would exceed the size cap."""
+    """An input exceeds algebra.SIZE_CAP or the oracle's size cap."""
 
 
 class SingularMatrixError(CentraError):

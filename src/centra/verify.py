@@ -36,6 +36,7 @@ from .errors import CentraError
 from .matrices import (
     Matrix,
     block_below_diagonal,
+    block_permutation_matrix,
     conjugate_by_block_permutation,
     poly_at_matrix,
 )
@@ -46,7 +47,7 @@ def _stacked_rank(field, mats):
         field, [[v for r in m._rows for v in r] for m in mats]).rank()
 
 
-def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
+def run_invariant_suite(spec, seed=0, samples=5, max_n=None):
     """All per-spec identities as (name, ok, detail) in a fixed order."""
     results = []
 
@@ -59,7 +60,8 @@ def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
 
     g = jordan_form(spec)
     w = weyr_form(spec)
-    order, pm = weyr_permutation(spec)
+    order = weyr_permutation(spec)
+    pm = block_permutation_matrix(field, order, spec.s)
 
     conj = conjugate_by_block_permutation(g, order, spec.s)
     check("conjugation_transport", conj == w,
@@ -90,7 +92,8 @@ def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
 
     zg = jordan_centralizer_basis(spec)
     dim = centralizer_dimension(segre.alpha, spec.s)
-    check("jordan_basis_count", zg.dim == dim,
+    check("jordan_basis_count",
+          zg.dim == dim == spec.s * sum(t * t for t in segre.tau),
           f"{zg.dim} elements vs formula {dim}")
     check("jordan_basis_commutes",
           all(commutes(g, b) for b in zg.elements),
@@ -121,7 +124,7 @@ def run_invariant_suite(spec, seed=0, samples=5, with_oracle=True, max_n=None):
     check("weyr_span_equality", stacked == zw.dim == zg.dim,
           "conjugated and direct bases span the same row space")
 
-    if with_oracle and spec.n <= _resolve_cap(max_n):
+    if spec.n <= _resolve_cap(max_n):
         oracle_dim = commutant_dimension(g, max_n=max_n)
         check("oracle_dimension", oracle_dim == dim,
               f"brute-force commutant dimension {oracle_dim} vs {dim}")

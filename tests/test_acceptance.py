@@ -14,6 +14,7 @@ from centra import (
     FIRST_KIND,
     Matrix,
     Poly,
+    block_permutation_matrix,
     centralizer_dimension,
     commutant_dimension,
     companion_matrix,
@@ -193,11 +194,12 @@ def test_criterion_04_weyr_conjugation():
     count = 0
     for spec in _corpus_specs():
         count += 1
-        _, pm = weyr_permutation(spec)
+        pm = block_permutation_matrix(spec.field, weyr_permutation(spec),
+                                      spec.s)
         if pm.inverse() * jordan_form(spec) * pm != weyr_form(spec):
             ok = False
     spec = make_spec(Poly.parse("x^2+1", F3), (3, 2, 2))
-    order, _ = weyr_permutation(spec)
+    order = weyr_permutation(spec)
     if [o + 1 for o in order] != [3, 5, 7, 2, 4, 6, 1]:
         ok = False
     w = weyr_form(spec)

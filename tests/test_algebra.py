@@ -15,7 +15,10 @@ from centra import (
     ParseError,
     Poly,
     QQ,
+    SIZE_CAP,
     Scalar,
+    TooLargeError,
+    field_from_name,
     is_irreducible,
     is_separable,
     poly_gcd,
@@ -144,6 +147,64 @@ def test_poly_parse_errors():
     for bad in ["", "x+", "x^-1", "((x)", "x^^2", "y+1", "x^"]:
         with pytest.raises(ParseError):
             Poly.parse(bad, f3)
+
+
+def test_parse_size_cap():
+    """Degrees and Q exponents above SIZE_CAP end at once in TooLargeError."""
+    f2, ft = prime_field(2), rational_function_field(2)
+    assert Poly.parse(f"x^{SIZE_CAP}+1", f2).degree == SIZE_CAP
+    assert QQ.scalar(f"1e-{SIZE_CAP}") == QQ.scalar(10) ** -SIZE_CAP
+    for parse, text in [
+            (lambda t: Poly.parse(t, f2), f"x^{SIZE_CAP + 1}"),
+            (lambda t: Poly.parse(t, f2), "x^99999999999999"),
+            (ft.scalar, "(t+1)/(t^99999999999999)"),
+            (lambda t: Poly.parse(t, ft), "t^99999999999999*x"),
+            (QQ.scalar, f"1e{SIZE_CAP + 1}"),
+            (QQ.scalar, "2.5E-1_000_000_000"),
+            (QQ.scalar, "0e99999999")]:
+        with pytest.raises(TooLargeError):
+            parse(text)
+    # Not literals at all, whatever the size of the exponent.
+    for text in ["1/2e99999999", "1e 99999999", "1e" + "9" * 5000]:
+        with pytest.raises(ParseError):
+            QQ.scalar(text)
+
+
+# Edge texts of the parenthesis and sign scanning, pinned to the values
+# and error types recorded before the scanning loops were merged into one.
+@pytest.mark.parametrize("entry,field,text,expected", [
+    ("scalar", "gft:2", "(t+1)(t)", ParseError),
+    ("scalar", "gft:2", "((t+1))/(t)", "(t+1)/(t)"),
+    ("poly", "gft:2", "((t+1))/(t)", "(t+1)/(t)"),
+    ("poly", "gf:5", "--x", "x"),
+    ("scalar", "gft:2", "--x", ParseError),
+    ("poly", "gf:5", "x+-1", "x+4"),
+    ("poly", "q", "x+-1", "x-1"),
+    ("poly", "gf:5", "x+", ParseError),
+    ("scalar", "gft:2", "x+", ParseError),
+    ("scalar", "gft:2", "(t)/(t)/(t)", ParseError),
+    ("poly", "q", ")(", ParseError),
+    ("scalar", "gft:2", ")(", ParseError),
+    ("poly", "gf:5", "x(", ParseError),
+    ("poly", "gf:5", "(x)", ParseError),
+    ("poly", "gft:2", "((x))", ParseError),
+    ("poly", "q", "-x^2+x-1", "-1*x^2+x-1"),
+    ("poly", "gf:5", "-x^2+x-1", "4*x^2+x+4"),
+    ("poly", "gft:2", "-(t)", "t"),
+    ("scalar", "gft:2", "-t+1", "t+1"),
+    ("poly", "gft:2", "-t+1", "(t+1)"),
+    ("scalar", "gft:2", "(t+1)/(t^2+1)", "(1)/(t+1)"),
+    ("poly", "gft:2", "x^2-(t)*x+(t+1)/(t)", "x^2+t*x+(t+1)/(t)"),
+])
+def test_parser_edge_texts(entry, field, text, expected):
+    field = field_from_name(field)
+    parse = field.scalar if entry == "scalar" else (
+        lambda t: Poly.parse(t, field))
+    if isinstance(expected, str):
+        assert str(parse(text)) == expected
+    else:
+        with pytest.raises(expected):
+            parse(text)
 
 
 def test_poly_divmod_identity():

@@ -18,6 +18,9 @@ from centra import (
     Poly,
     QQ,
     ReducibleError,
+    SIZE_CAP,
+    TooLargeError,
+    block_permutation_matrix,
     companion_matrix,
     conjugate_by_block_permutation,
     conjugate_partition,
@@ -182,6 +185,12 @@ def test_make_spec_validation():
         make_spec(Poly.parse("x^2+1", F3), (1, 2))
     spec = make_spec(Poly.parse("x^2+1", QQ), (2, 1), assume_irreducible=True)
     assert spec.s == 2 and spec.n == 6
+    # n = s * sum(alpha) above SIZE_CAP is refused before any indexing.
+    x2 = Poly.parse("x^2+1", F3)
+    assert make_spec(x2, (SIZE_CAP // 2 - 1, 1)).n == SIZE_CAP
+    for alpha in ((SIZE_CAP // 2, 1), (10 ** 40,)):
+        with pytest.raises(TooLargeError):
+            make_spec(x2, alpha)
 
 
 def test_dn_split():
@@ -202,11 +211,13 @@ def test_dn_split():
 
 def test_weyr_permutation_golden():
     spec = make_spec(Poly.parse("x^2+1", F3), (3, 2, 2))
-    order, pm = weyr_permutation(spec)
+    order = weyr_permutation(spec)
     assert [o + 1 for o in order] == [3, 5, 7, 2, 4, 6, 1]
+    pm = block_permutation_matrix(F3, order, 2)
     assert pm * pm.transpose() == Matrix.identity(F3, 14)
     single = make_spec(Poly.parse("x^2+1", F3), (1,))
-    _, pm1 = weyr_permutation(single)
+    assert weyr_permutation(single) == [0]
+    pm1 = block_permutation_matrix(F3, weyr_permutation(single), 2)
     assert pm1 == Matrix.identity(F3, 2)
 
 
@@ -281,7 +292,8 @@ def test_conjugation_identity_corpus():
     for spec in _spec_corpus():
         g = jordan_form(spec)
         w = weyr_form(spec)
-        order, pm = weyr_permutation(spec)
+        order = weyr_permutation(spec)
+        pm = block_permutation_matrix(spec.field, order, spec.s)
         assert conjugate_by_block_permutation(g, order, spec.s) == w
         assert pm.inverse() * g * pm == w
 
@@ -325,5 +337,5 @@ def test_first_kind_weyr_uses_identity_coupling():
     sub = Matrix(F3, [[w[0 + i, 4 + j] for j in range(2)] for i in range(2)])
     assert sub == Matrix.identity(F3, 2)
     g = jordan_form(spec)
-    order, _ = weyr_permutation(spec)
+    order = weyr_permutation(spec)
     assert conjugate_by_block_permutation(g, order, spec.s) == w

@@ -12,6 +12,7 @@ import centra.cli
 from centra import (
     Matrix,
     Poly,
+    SIZE_CAP,
     jordan_form,
     make_spec,
     matrix_from_json_obj,
@@ -182,6 +183,16 @@ def test_repeat_invocations_are_byte_identical(capsys):
     (["oracle", "--input", "/nonexistent/file.txt"], ""),
     (["jordan", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "3,0,2"],
      "bad part"),
+    (["jordan", "--field", "gf:2", "--poly", "x",
+      "--alpha", "99999999999999999999999"], f"size cap {SIZE_CAP}"),
+    (["jordan", "--field", "gf:2", "--poly", "x^99999999999999",
+      "--alpha", "1"], f"size cap {SIZE_CAP}"),
+    (["dim", "--field", "gf:3", "--poly", "x^2+1",
+      "--alpha", f"{SIZE_CAP // 2 + 1}"], f"size cap {SIZE_CAP}"),
+    (["jordan", "--field", "q", "--poly", "x^2+1", "--alpha", "2"],
+     "pass --assume-irreducible"),
+    (["jordan", "--field", "gft:2", "--poly", "x^2+t", "--alpha", "2"],
+     "pass --assume-irreducible"),
 ])
 def test_usage_errors_exit_two(capsys, argv, needle):
     rc, out, err = _run(capsys, argv)
@@ -203,6 +214,8 @@ def _assert_one_line_error(rc, err):
     b'{"rows": "1", "cols": 1, "field": "gf:3", "entries": [[5]]}',
     b'{"rows": 1, "cols": 1.0, "field": "gf:3", "entries": [[5]]}',
     b"\xff\xfe 1 1 gf:3",
+    b"1 1 gft:2\nt^99999999999999\n",
+    b"1 1 q\n1e-99999999999999\n",
 ])
 def test_bad_input_file_exit_two(tmp_path, capsys, data):
     path = tmp_path / "m.json"

@@ -27,9 +27,11 @@ from centra import (  # noqa: E402
     E_KIND,
     FIRST_KIND,
     QQ,
+    SIZE_CAP,
     CentraError,
     Matrix,
     Poly,
+    block_permutation_matrix,
     centralizer_dimension,
     commutant_dimension,
     commutes,
@@ -145,7 +147,8 @@ def _specs(draw):
 @given(_specs())
 def test_weyr_transport_and_direct_placement(spec):
     """W = P^-1 G P by index remapping, and both Weyr basis routes agree."""
-    order, p_mat = weyr_permutation(spec)
+    order = weyr_permutation(spec)
+    p_mat = block_permutation_matrix(spec.field, order, spec.s)
     g, w = jordan_form(spec), weyr_form(spec)
     assert conjugate_by_block_permutation(g, order, spec.s) == w
     assert p_mat.inverse() * g * p_mat == w
@@ -264,17 +267,27 @@ def test_level_block_determinant_equals_determinant(spec, seed):
 
 # -- fuzzing: bad text ends in a CentraError, and the CLI in exit 0, 1 or 2
 
-# Glue holds no decimal digit, so every digit run is one drawn number of
-# at most two digits: exponents stay small and each call takes
-# milliseconds.
+# Glue holds no decimal digit, so every digit run is one drawn number:
+# either at most two digits, or above SIZE_CAP (up to 30 digits), so
+# exponents, degrees and partition parts are small or refused at once by
+# the size cap, and each call takes milliseconds.  No mid-size value is
+# drawn: one would be accepted and could make a call run long.
 _GLUE = st.one_of(
-    st.sampled_from(["x", "t", "^", "+", "-", "*", "/", "(", ")", " ", ",",
-                     ":", ".", "e", "\n", "gf", "gft", "q", "{", "}", "[",
-                     "]", '"', "_"]),
+    st.sampled_from(["x", "t", "^", "x^", "t^", "+", "-", "*", "/", "(", ")",
+                     " ", ",", ":", ".", "e", "\n", "gf", "gft", "q", "{",
+                     "}", "[", "]", '"', "_"]),
     st.characters(blacklist_categories=("Nd", "Cs")))
-_NUMBER = st.one_of(st.just(""), st.integers(0, 12).map(str))
+_BIG = st.integers(SIZE_CAP + 1, 10 ** 30).map(str)
+_NUMBER = st.one_of(st.just(""), st.integers(0, 12).map(str), _BIG)
 _TEXT = st.tuples(_NUMBER, st.lists(st.tuples(_GLUE, _NUMBER), max_size=8)
                   ).map(lambda d: d[0] + "".join(g + n for g, n in d[1]))
+# Sums of well-formed terms (k*x^e, k*t^e, k e e, k/e), so that a drawn
+# number also reaches the exponent, degree and literal parsers, not only
+# the first syntax error.
+_TERMS = st.lists(st.builds(
+    str.__add__, _NUMBER, st.builds(str.__add__, st.sampled_from(
+        ["x^", "t^", "*x^", "*t^", "e", "e-", "/"]), _NUMBER)),
+    min_size=1, max_size=3).map("+".join)
 _FIELD_NAMES = st.one_of(
     _TEXT,
     st.sampled_from(["gf:2", "gf:5", "q", "gft:2", "gf:4", "GFT:3", " q "]),
@@ -308,7 +321,7 @@ def _only_centra_errors(fn, *args):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(_TEXT, _FIELD_NAMES, _MATRIX_TEXTS)
+@given(_TEXT | _TERMS, _FIELD_NAMES, _MATRIX_TEXTS)
 def test_text_parsers_raise_only_centra_errors(text, name, matrix_text):
     """Poly.parse, scalar literals, field names and matrix text."""
     for field in _PARSE_FIELDS:
@@ -342,7 +355,7 @@ _PARTITION = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
     lambda a: ",".join(map(str, sorted(a, reverse=True))))
 _PARTS = st.lists(st.integers(-1, 4), max_size=3).filter(
     lambda a: sum(a) <= 6).map(lambda a: ",".join(map(str, a)))
-_ALPHA = st.sampled_from([_PARTITION] * 3 + [_PARTS, _TEXT]).flatmap(
+_ALPHA = st.sampled_from([_PARTITION] * 3 + [_PARTS, _TEXT, _BIG]).flatmap(
     lambda strategy: strategy)
 _CLI_VALUES = {
     "--kind": st.sampled_from(["e", "first", "third"]),
@@ -369,7 +382,8 @@ _JUNK = st.one_of(_TEXT, st.sampled_from(
 def _argvs(draw):
     """Mostly well-formed invocations: a command, its spec, drawn flags.
 
-    Parts stay <= 4 and r <= 6, so no call runs long.  One time in five a
+    Parts stay <= 4 and r <= 6, or one part exceeds SIZE_CAP and the
+    size cap refuses it, so no call runs long.  One time in five a
     junk token (text, a line break, a flag of another command, -h) goes
     in at a drawn place.
     """
