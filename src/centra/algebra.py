@@ -28,6 +28,7 @@ field-dependent: ``3``, ``2/7``, ``(t^2+1)/(t+1)``.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -156,15 +157,16 @@ class Field:
     """Common behaviour of the three supported fields.
 
     Subclasses define the payload representation and the _-prefixed
-    payload arithmetic; user code works with Scalars.  The row_* kernels
-    run that arithmetic over whole payload rows for Matrix, and the poly_*
-    kernels over ascending payload tuples with no trailing zero for Poly
-    and the GF(p)(t) payloads.  Both skip zero terms, which are costly in
-    Q and GF(p)(t), by comparing with _zero_payload: a GF(p)(t) payload is
-    a tuple and always truthy.  No subclass overrides them, so each kernel
-    has one definition; its results are canonical because each payload
-    operation returns canonical payloads (GF(p) reduces every sum and
-    product mod p).
+    payload arithmetic; user code works with Scalars.  The three row
+    kernels, row_add, row_sub and row_scale, run that arithmetic over
+    whole payload rows for Matrix sums, scalar multiples and elimination
+    updates, and the poly_* kernels over ascending payload tuples with no
+    trailing zero for Poly and the GF(p)(t) payloads.  Both skip zero
+    terms, which are costly in Q and GF(p)(t), by comparing with
+    _zero_payload: a GF(p)(t) payload is a tuple and always truthy.  No
+    subclass overrides them, so each kernel has one definition; its
+    results are canonical because each payload operation returns
+    canonical payloads (GF(p) reduces every sum and product mod p).
 
     row_store() makes the working rows of one elimination for the single
     routine in matrices: payload lists (rows.PayloadRows) here, used by
@@ -221,22 +223,6 @@ class Field:
     def row_scale(self, row, c):
         mul, zero = self._mul, self._zero_payload
         return [a if a == zero else mul(c, a) for a in row]
-
-    def row_axpy(self, row, f, prow):
-        """row - f*prow."""
-        sub, mul, zero = self._sub, self._mul, self._zero_payload
-        return [a if b == zero else sub(a, mul(f, b))
-                for a, b in zip(row, prow)]
-
-    def row_matmul(self, arow, brows):
-        """The row vector arow times the matrix whose rows are brows."""
-        add, mul, zero = self._add, self._mul, self._zero_payload
-        acc = [zero] * len(brows[0])
-        for a, brow in zip(arow, brows):
-            if a != zero:
-                acc = [s if b == zero else add(s, mul(a, b))
-                       for s, b in zip(acc, brow)]
-        return acc
 
     def row_store(self, rows):
         """Working rows for one elimination over this field."""
@@ -459,7 +445,12 @@ class RationalField(Field):
         return value
 
     def _format(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # an int past Python's digit limit for str()
+            raise TooLargeError(f"rational value exceeds the "
+                                f"{sys.get_int_max_str_digits()}-digit limit"
+                                f" on printing integers") from None
 
     def _random(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))

@@ -101,12 +101,11 @@ def companion_centralizer_element(c, v):
     v = list(v)
     if len(v) != s:
         raise ShapeMismatchError(f"first column has {len(v)} entries, need {s}")
-    field = c.field
-    ct = c.transpose()._rows
-    cols = [[field.scalar(e).value for e in v]]
+    ct = c.transpose()
+    cols = [Matrix(c.field, [v])]
     for _ in range(s - 1):
-        cols.append(field.row_matmul(cols[-1], ct))
-    return Matrix._from_payloads(field, zip(*cols))
+        cols.append(cols[-1] * ct)
+    return Matrix._from_payloads(c.field, zip(*[m._rows[0] for m in cols]))
 
 
 def companion_centralizer_basis(c):

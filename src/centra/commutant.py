@@ -18,6 +18,7 @@ about canonical forms so it can serve as an oracle for them:
   byte for byte.
 Every vector step is one row-store combine, in the store the field picks.
 The size cap keeps large inputs from being solved by accident.
+commutes is a * x == x * a: this module has no product kernel of its own.
 """
 
 import os
@@ -67,7 +68,8 @@ def _hessenberg(a):
         raise NotSquareError("commuting space of a nonsquare matrix")
     field = a.field
     zero, one = field._zero_payload, field._one_payload
-    add, mul, axpy = field._add, field._mul, field.row_axpy
+    add, mul = field._add, field._mul
+    sub, scale = field.row_sub, field.row_scale
     n = a.rows
     h = [list(r) for r in a._rows]
     s = sinv = None
@@ -91,8 +93,8 @@ def _hessenberg(a):
         # row q holds a zero at j and needs no transform.
         fs = [(i, mul(h[i][j], inv)) for i in below[1:]]
         for i, f in fs:
-            h[i] = axpy(h[i], f, h[q])
-            sinv[i] = axpy(sinv[i], f, sinv[q])
+            h[i] = sub(h[i], scale(h[q], f))
+            sinv[i] = sub(sinv[i], scale(sinv[q], f))
         for rows in (h, s):
             for r in rows:
                 for i, f in fs:
@@ -245,35 +247,11 @@ def commutant_dimension(a, max_n=None):
 
 
 def commutes(a, x):
-    """Whether AX equals XA, compared on the nonzero entries of both.
-
-    Each operand's rows are listed as the (column, payload) pairs of their
-    nonzero entries (Matrix._nonzeros, once per distinct row object, so
-    the zero rows that place_blocks shares are scanned once).  Each
-    product is summed from those lists into {(i, j): payload}, sums that
-    cancel to zero are dropped, and the products are equal exactly when
-    the two maps are.
-    """
+    """Whether AX equals XA exactly; products run on nonzero entries."""
     if not a.is_square():
         raise NotSquareError("commutation against a nonsquare matrix")
     if a.rows != x.rows or a.cols != x.cols:
         raise ShapeMismatchError(
             f"shapes {a.rows}x{a.cols} and {x.rows}x{x.cols} differ")
     a._same_field(x)
-    a_nz, x_nz = a._nonzeros(), x._nonzeros()
-    return (_product_entries(a.field, a_nz, x_nz)
-            == _product_entries(a.field, x_nz, a_nz))
-
-
-def _product_entries(field, left, right):
-    """{(i, j): payload} of the nonzero entries of a product, given the
-    operands' Matrix._nonzeros lists."""
-    zero, add, mul = field._zero_payload, field._add, field._mul
-    acc = {}
-    for i, row in enumerate(left):
-        for k, u in row:
-            for j, v in right[k]:
-                uv = mul(u, v)
-                s = acc.get((i, j))
-                acc[i, j] = uv if s is None else add(s, uv)
-    return {key: v for key, v in acc.items() if v != zero}
+    return a * x == x * a

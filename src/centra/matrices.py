@@ -3,10 +3,12 @@
 A Matrix stores the field's payloads, not Scalars: residue ints for GF(p),
 Fractions for Q and, for GF(p)(t), (num, den) pairs of residue-int tuples
 (den monic, coprime to num), row-major in tuples and immutable after
-construction.  Arithmetic runs whole rows through one set of row
-kernels, Field's row_add, row_sub, row_scale and row_matmul, shared by
-every field: they skip zero entries and return canonical payloads, so
-no entry is boxed on the way.  Scalars appear only at the boundary:
+construction.  Sums and scalar multiples run whole rows through Field's
+row_add, row_sub and row_scale; the product, the package's one product
+kernel, runs on the (column, payload) lists of nonzero entries that
+_nonzeros caches and no other module reads.  All skip zero entries and
+return canonical payloads, so no entry is boxed on the way.  Scalars
+appear only at the boundary:
 indexing, row(), flat(), column_values(), determinant() and parsing or
 formatting.  Code in this package that already holds payload rows uses
 the unchecked Matrix._from_payloads.
@@ -182,9 +184,26 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"mul {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        brows = other._rows
-        return Matrix._from_payloads(
-            field, [field.row_matmul(r, brows) for r in self._rows])
+        # Gustavson's row-by-row product (ACM TOMS 1978): left entry (k, a)
+        # adds a*b at column j for each nonzero (j, b) of right row k.  A
+        # row with no term is one shared zero row, and a column's first
+        # term is written over the zero payload object, not added to it.
+        zero, add, mul = field._zero_payload, field._add, field._mul
+        brows = other._nonzeros()
+        zero_row = (zero,) * other.cols
+        rows = []
+        for pairs in self._nonzeros():
+            acc = zero_row
+            for k, a in pairs:
+                brow = brows[k]
+                if brow:
+                    if acc is zero_row:
+                        acc = list(zero_row)
+                    for j, b in brow:
+                        s = acc[j]
+                        acc[j] = mul(a, b) if s is zero else add(s, mul(a, b))
+            rows.append(acc)
+        return Matrix._from_payloads(field, rows)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -378,20 +397,18 @@ def block_below_diagonal(m, layout):
 
     Block row bi is nonzero below the diagonal when one of its rows has a
     nonzero entry left of col_cuts[bi].  Returns 0-based (bi, bj) for the
-    first such block row and the lowest such bj in it, or None.  Only row
-    slices are read; no block is built.
+    first such block row and the lowest such bj in it, or None.  Only the
+    first nonzero column of each row is read, from the cached nonzero
+    lists; no block is built.
     """
     if layout.row_cuts[-1] != m.rows or layout.col_cuts[-1] != m.cols:
         raise ShapeMismatchError("layout does not cover the matrix")
     rc, cc = layout.row_cuts, layout.col_cuts
-    zero = m.field._zero_payload
+    nz = m._nonzeros()
     for bi in range(1, layout.nrow_blocks):
-        cut = cc[bi]
-        heads = [r[:cut] for r in m._rows[rc[bi]:rc[bi + 1]]]
-        bad = [h for h in heads if h.count(zero) < cut]
-        if bad:
-            j = min(next(j for j, v in enumerate(h) if v != zero)
-                    for h in bad)
+        j = min([row[0][0] for row in nz[rc[bi]:rc[bi + 1]] if row],
+                default=cc[bi])
+        if j < cc[bi]:
             return bi, bisect_right(cc, j) - 1
     return None
 

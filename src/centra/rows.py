@@ -55,7 +55,8 @@ class PayloadRows:
         row = self.rows[i]
         f = row[c]
         row[c] = field._zero_payload
-        row[c + 1:] = field.row_axpy(row[c + 1:], f, self.rows[r][c + 1:])
+        row[c + 1:] = field.row_sub(
+            row[c + 1:], field.row_scale(self.rows[r][c + 1:], f))
         self.lead[i] = self._first(row, c + 1)
 
     def unit(self, k, m):
@@ -124,14 +125,8 @@ class RationalRows:
     """
 
     def __init__(self, rows):
-        self.ncols = ncols = len(rows[0])
-        self.rows = []
-        self.den = []
-        for row in rows:
-            den = lcm(*[v.denominator for v in row])
-            self.rows.append([v.numerator * (den // v.denominator)
-                              for v in row])
-            self.den.append(den)
+        self.ncols = len(rows[0])
+        self.rows, self.den = map(list, zip(*map(self.vector, rows)))
         self.lead = [self._first(r, 0) for r in self.rows]
 
     def _first(self, row, start):

@@ -7,10 +7,10 @@ independence, dimension formulas, the brute-force oracle cross-check, and
 seeded determinant sampling.  The CLI prints these verbatim, so names and
 details are stable strings.
 
-Commutation is checked on nonzero entries (commutant.commutes): the
-basis elements are placements of a few s x s blocks, so summing AX and
-XA from the nonzero entries of both operands costs a small part of two
-dense products, and the comparison is still exact equality.
+Commutation is checked by commutant.commutes, a * x == x * a with the
+one Matrix product, which runs on nonzero entries: the basis elements
+are placements of a few s x s blocks, so a product costs a small part
+of a dense one, and the comparison is exact equality.
 """
 
 from .canonical import (

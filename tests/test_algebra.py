@@ -1,6 +1,7 @@
 """Field arithmetic, polynomial arithmetic, irreducibility, separability."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,17 @@ def test_parse_size_cap():
     for text in ["1/2e99999999", "1e 99999999", "1e" + "9" * 5000]:
         with pytest.raises(ParseError):
             QQ.scalar(text)
+
+
+def test_rational_past_print_digit_limit():
+    """A Q value longer than Python's int-to-str digit limit (4300 by
+    default) parses and computes, but printing it is a TooLargeError."""
+    big = QQ.scalar("1e5000")
+    assert big == QQ.scalar(10) ** 5000
+    assert str(QQ.scalar("1e4000")) == "1" + "0" * 4000
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(TooLargeError, match=f"{limit}-digit limit"):
+        str(big)
 
 
 # Edge texts of the parenthesis and sign scanning, pinned to the values

@@ -207,6 +207,16 @@ def _assert_one_line_error(rc, err):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rational_past_print_digit_limit_exit_two(capsys, fmt):
+    """A Q entry too long for Python to print ends in one error line."""
+    rc, out, err = _run(capsys, ["jordan", "--field", "q", "--poly",
+                                 "x-1e5000", "--alpha", "1", "--format", fmt])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+
 @pytest.mark.parametrize("data", [
     b'{"rows": 2, "cols": ',
     b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": 5}',

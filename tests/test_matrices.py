@@ -64,10 +64,22 @@ def _sparse_matrix(field, rows, cols, rng):
                           for _ in range(rows)])
 
 
+def _scalar_product(x, y):
+    """x * y summed entry by Scalar entry, independent of Matrix.__mul__."""
+    return Matrix(x.field, [[sum([x[i, t] * y[t, j] for t in range(x.cols)],
+                                 x.field.zero) for j in range(y.cols)]
+                            for i in range(x.rows)])
+
+
 @pytest.mark.parametrize("field", [F2, F_BIG, QQ, rational_function_field(2)],
                          ids=lambda f: f.name)
 def test_row_kernels_match_scalar_reference(field):
-    """+, -, scalar *, matrix * and [v, Cv, ...], entry by Scalar entry."""
+    """+, -, scalar *, matrix * and [v, Cv, ...], entry by Scalar entry.
+
+    Products also run on place_blocks operands, whose untouched rows are
+    one shared zero row, and on pairs whose entries are sums that cancel
+    to zero, some of them before a later term arrives.
+    """
     rng = random.Random(47)
     for _ in range(15):
         n, m, k = (rng.randrange(1, 6) for _ in range(3))
@@ -84,9 +96,26 @@ def test_row_kernels_match_scalar_reference(field):
             scaled = entrywise(lambda i, j: a[i, j] * x)
             assert a * x == scaled
             assert x * a == scaled
-        assert a * c == Matrix(field, [
-            [sum([a[i, t] * c[t, j] for t in range(m)], field.zero)
-             for j in range(k)] for i in range(n)])
+        assert a * c == _scalar_product(a, c)
+        # Block placements leave the last block row as one shared zero row.
+        s, nblocks = rng.randrange(1, 4), rng.randrange(2, 5)
+        x, y = (place_blocks(field, s, nblocks, {
+            (rng.randrange(nblocks - 1), rng.randrange(nblocks)):
+                _sparse_matrix(field, s, s, rng)
+            for _ in range(rng.randrange(1, nblocks + 1))})
+            for _ in range(2))
+        assert all(z._rows[-1] is z._rows[-s] for z in (x, y))
+        assert x * y == _scalar_product(x, y)
+        assert y * x == _scalar_product(y, x)
+        # [a | a] [c; -c] = ac - ac: each entry of ac is a sum that
+        # cancels; appending b and d makes bd land on the cancelled sums.
+        twice_a = [a.row(i) + a.row(i) for i in range(n)]
+        c_minus_c = [*map(c.row, range(m)), *map((-c).row, range(m))]
+        assert (Matrix(field, twice_a) * Matrix(field, c_minus_c)).is_zero()
+        d = _sparse_matrix(field, m, k, rng)
+        left = Matrix(field, [r + b.row(i) for i, r in enumerate(twice_a)])
+        right = Matrix(field, c_minus_c + list(map(d.row, range(m))))
+        assert left * right == _scalar_product(left, right) == b * d
         sq = _sparse_matrix(field, m, m, rng)
         cols = [[rng.choice((field.zero, field.random(rng)))
                  for _ in range(m)]]

@@ -33,6 +33,7 @@ from centra import (
     sylvester_system,
 )
 from centra.matrices import place_blocks
+from test_matrices import _scalar_product
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -211,9 +212,11 @@ def test_forms_and_similar_matrices_match_dense_reference(spec_args):
 
 
 def _commutes_checked(a, x):
-    """commutes(a, x), asserted equal to the dense comparison both ways."""
+    """commutes(a, x), asserted equal to the Scalar-product comparison,
+    both ways."""
     got = commutes(a, x)
-    assert got == (a * x == x * a) == commutes(x, a)
+    assert got == (_scalar_product(a, x) == _scalar_product(x, a)) \
+        == commutes(x, a)
     return got
 
 

@@ -54,6 +54,7 @@ from centra import (  # noqa: E402
 )
 from centra.cli import main  # noqa: E402
 from test_elimination import _check  # noqa: E402
+from test_matrices import _scalar_product  # noqa: E402
 from test_oracle import _check_against_reference  # noqa: E402
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "centra-hypothesis")
@@ -247,9 +248,10 @@ def _commuting_candidates(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=120)
 @given(_commuting_candidates())
 def test_commutes_equals_dense_comparison(drawn):
-    """commutes(a, x) is exactly a * x == x * a, the dense product."""
+    """commutes(a, x) is exactly AX == XA, with both products summed
+    entry by Scalar entry."""
     a, x, polynomial = drawn
-    assert commutes(a, x) == (a * x == x * a)
+    assert commutes(a, x) == (_scalar_product(a, x) == _scalar_product(x, a))
     if polynomial:
         assert commutes(a, x)
 
