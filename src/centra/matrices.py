@@ -8,10 +8,9 @@ row_add, row_sub and row_scale; the product, the package's one product
 kernel, runs on the (column, payload) lists of nonzero entries that
 _nonzeros caches and no other module reads.  All skip zero entries and
 return canonical payloads, so no entry is boxed on the way.  Scalars
-appear only at the boundary:
-indexing, row(), flat(), column_values(), determinant() and parsing or
-formatting.  Code in this package that already holds payload rows uses
-the unchecked Matrix._from_payloads.
+appear only at the boundary: indexing, row(), flat(), column_values(),
+determinant() and parsing or formatting.  Code in this package that
+already holds payload rows uses the unchecked Matrix._from_payloads.
 
 place_blocks is the one block assembler: the canonical forms, the
 centralizer bases and block_permutation_matrix are all placements of
