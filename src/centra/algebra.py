@@ -54,6 +54,18 @@ NEG_INF = float("-inf")
 SIZE_CAP = 10 ** 5
 
 
+def _refuse_long_int(exc, what, cap=None):
+    """TooLargeError naming what, if exc is int()'s digit-limit ValueError.
+
+    Called before reporting bad syntax: text with more digits than
+    sys.get_int_max_str_digits() is refused without repeating it.
+    """
+    if "integer string conversion" in str(exc):
+        limit = (f"the size cap {cap}" if cap else f"the "
+                 f"{sys.get_int_max_str_digits()}-digit limit on integers")
+        raise TooLargeError(f"{what} exceeds {limit}") from None
+
+
 class Scalar:
     """An element of one of the supported exact fields."""
 
@@ -373,7 +385,8 @@ class PrimeField(Field):
     def _parse(self, text):
         try:
             return int(text, 10) % self.p
-        except ValueError:
+        except ValueError as exc:
+            _refuse_long_int(exc, f"{self.name} literal")
             raise ParseError(f"bad {self.name} literal {text!r}") from None
 
     def _format(self, a):
@@ -384,10 +397,6 @@ class PrimeField(Field):
 
     def row_store(self, rows):
         return PackedRows(self.p, rows)
-
-    def elements(self):
-        """All field elements; exhaustive tests only."""
-        return [Scalar(self, a) for a in range(self.p)]
 
 
 class RationalField(Field):
@@ -437,7 +446,8 @@ class RationalField(Field):
             small = not e or abs(int(exp)) <= SIZE_CAP
             value = Fraction(text if small else
                              head + e + re.sub(r"\d", "0", exp))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError) as exc:
+            _refuse_long_int(exc, "rational literal")
             raise ParseError(f"bad rational literal {text!r}") from None
         if not small:
             raise TooLargeError(
@@ -582,7 +592,8 @@ def field_from_name(text):
                 return maker(int(sel[len(prefix):], 10))
             except ParseError:
                 raise
-            except ValueError:
+            except ValueError as exc:
+                _refuse_long_int(exc, "field size")
                 break
     raise ParseError(f"unknown field selector {text!r}")
 
@@ -789,7 +800,8 @@ def _parse_term(term, field, var):
         raise ParseError(f"bad term {term!r}")
     try:
         e = int(suffix[1:], 10)
-    except ValueError:
+    except ValueError as exc:
+        _refuse_long_int(exc, "degree", SIZE_CAP)
         raise ParseError(f"bad exponent in {term!r}") from None
     if e < 0:
         raise ParseError(f"negative exponent in {term!r}")

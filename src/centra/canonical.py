@@ -5,9 +5,11 @@ a nonincreasing multiplicity partition alpha.  From these we build:
 
   companion_matrix(p)    s x s multiplication-by-x matrix
   corner_matrix(f, s)    single 1 in the upper right corner ([1] for s=1)
-  jordan_block           lower block-bidiagonal: companion blocks on the
-                         diagonal, corner (or identity) blocks below it
-  jordan_form            block diagonal of jordan_blocks, one per part
+  jordan_form            block diagonal of lower block-bidiagonal chains,
+                         one per part: companion blocks on the diagonal,
+                         corner (or identity) blocks below it
+  jordan_block           jordan_form of the one-part partition (ell,),
+                         under the same make_spec checks
   weyr_form              the conjugate-partition reordering of the same
                          data, upper block-bidiagonal
 
@@ -22,6 +24,7 @@ All constructions are plain index placement; no elimination is involved.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .algebra import SIZE_CAP, is_irreducible, is_separable
 from .errors import (
@@ -62,59 +65,35 @@ def _validated_partition(alpha):
 
 @dataclass(frozen=True)
 class SegreData:
-    """A partition with every derived sequence used downstream.
+    """A partition with the two grids that index its blocks.
 
-    alpha    the partition (nonincreasing, positive parts)
-    tau      conjugate partition, one entry per level 1..alpha_1
-    beta     distinct part values, decreasing
-    freq     how often each beta value occurs
-    cumfreq  running totals of freq
-    sigma    prefix sums of alpha (1-based chain boundaries)
+    alpha   the partition (nonincreasing, positive parts)
+    tau     conjugate partition, one entry per level 1..alpha_1
+    sigma   prefix sums of alpha: chain i (1-based) holds Jordan blocks
+            sigma[i-1] - alpha[i-1] .. sigma[i-1] - 1 (0-based)
+    levels  0, then the prefix sums of tau: Weyr level k (1-based) holds
+            blocks levels[k-1] .. levels[k] - 1, chain j at levels[k-1]+j-1
     """
 
     alpha: tuple
     tau: tuple
-    beta: tuple
-    freq: tuple
-    cumfreq: tuple
     sigma: tuple
+    levels: tuple
 
     @property
     def r(self):
-        return self.sigma[-1] if self.sigma else 0
+        return self.levels[-1]
 
     @property
     def m(self):
         return len(self.alpha)
 
-    @property
-    def h(self):
-        return len(self.beta)
-
 
 def segre_indexing(alpha):
     alpha = _validated_partition(alpha)
     tau = conjugate_partition(alpha)
-    beta = []
-    freq = []
-    for a in alpha:
-        if beta and beta[-1] == a:
-            freq[-1] += 1
-        else:
-            beta.append(a)
-            freq.append(1)
-    cumfreq = []
-    total = 0
-    for f in freq:
-        total += f
-        cumfreq.append(total)
-    sigma = []
-    total = 0
-    for a in alpha:
-        total += a
-        sigma.append(total)
-    return SegreData(alpha, tau, tuple(beta), tuple(freq),
-                     tuple(cumfreq), tuple(sigma))
+    return SegreData(alpha, tau, tuple(accumulate(alpha)),
+                     tuple(accumulate(tau, initial=0)))
 
 
 @dataclass(frozen=True)
@@ -178,39 +157,28 @@ def corner_matrix(field, s):
     return Matrix(field, rows)
 
 
-def _coupling_block(p, kind):
-    if kind == FIRST_KIND:
-        if not is_separable(p):
-            raise NonSeparableFirstKindError(
-                f"first-kind blocks need a separable polynomial, got {p!r}")
-        return Matrix.identity(p.field, p.degree)
-    if kind != E_KIND:
-        raise ParseError(f"unknown kind {kind!r}")
-    return corner_matrix(p.field, p.degree)
-
-
-def _chain_form(p, kind, alpha):
-    """Block diagonal of lower block-bidiagonal chains, one per part."""
-    c = companion_matrix(p)
-    coupling = _coupling_block(p, kind)
-    r = sum(alpha)
-    placed = {(i, i): c for i in range(r)}
-    start = 0
-    for part in alpha:
-        for i in range(start + 1, start + part):
-            placed[(i, i - 1)] = coupling
-        start += part
-    return place_blocks(p.field, p.degree, r, placed)
-
-
-def jordan_block(p, ell, kind=E_KIND):
-    if ell < 1:
-        raise NonPositivePartError(f"bad multiplicity {ell}")
-    return _chain_form(p, kind, (ell,))
+def _coupling_block(spec):
+    """Identity in the first kind, the corner matrix in the corner kind."""
+    if spec.kind == FIRST_KIND:
+        return Matrix.identity(spec.field, spec.s)
+    return corner_matrix(spec.field, spec.s)
 
 
 def jordan_form(spec):
-    return _chain_form(spec.p, spec.kind, spec.segre.alpha)
+    """One lower block-bidiagonal chain per part; block i > 0 couples to
+    block i - 1 unless it starts a chain, i.e. unless i is in sigma."""
+    c, coupling = companion_matrix(spec.p), _coupling_block(spec)
+    r = spec.segre.r
+    placed = {(i, i): c for i in range(r)}
+    starts = set(spec.segre.sigma)
+    placed.update({(i, i - 1): coupling for i in range(1, r)
+                   if i not in starts})
+    return place_blocks(spec.field, spec.s, r, placed)
+
+
+def jordan_block(p, ell, kind=E_KIND):
+    """The single chain of multiplicity ell, checked as a spec."""
+    return jordan_form(make_spec(p, (ell,), kind, assume_irreducible=True))
 
 
 def dn_split(spec):
@@ -238,24 +206,21 @@ def weyr_permutation(spec):
 
 
 def weyr_form(spec):
-    """Built directly from the conjugate partition, not by conjugation.
+    """Built directly from the level grid, not by conjugation.
 
     Level k holds tau_k companion blocks on the diagonal; the coupling
     blocks sit between consecutive levels, one per chain still alive at
-    the deeper level, aligned with the leading chains.
+    the deeper level: with k and j 0-based, chain j of level k couples
+    to chain j of level k+1 at block (levels[k] + j, levels[k+1] + j).
     """
     segre = spec.segre
-    c = companion_matrix(spec.p)
-    coupling = _coupling_block(spec.p, spec.kind)
-    r = segre.r
-    placed = {(i, i): c for i in range(r)}
-    offset = 0
-    for k in range(len(segre.tau) - 1):
-        here, deeper = segre.tau[k], segre.tau[k + 1]
-        for j in range(deeper):
-            placed[(offset + j, offset + here + j)] = coupling
-        offset += here
-    return place_blocks(spec.field, spec.s, r, placed)
+    c, coupling = companion_matrix(spec.p), _coupling_block(spec)
+    lv = segre.levels
+    placed = {(i, i): c for i in range(segre.r)}
+    placed.update({(lv[k] + j, lv[k + 1] + j): coupling
+                   for k, deeper in enumerate(segre.tau[1:])
+                   for j in range(deeper)})
+    return place_blocks(spec.field, spec.s, segre.r, placed)
 
 
 def weyr_characteristic(w, p):

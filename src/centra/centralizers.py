@@ -17,8 +17,9 @@ elements live on block "slots":
     shorter.
   * the same parameters transported to the Weyr ordering place Z at every
     position of the level grid whose slot index matches; a second,
-    permutation-free placement routine computes those positions directly
-    from the level indices and must agree entry for entry.
+    permutation-free placement routine reads those positions directly
+    off SegreData.levels (chain c of level k is block levels[k-1]+c-1)
+    and must agree entry for entry.
 
 One scalar parameter therefore means one (cell, slot, power-of-C) triple;
 bases are emitted in lexicographic order of those labels, 1-based, which
@@ -28,7 +29,7 @@ Both placement routes run one scaffold, _placed_basis: the label loop,
 the powers of C and their tildes, place_blocks and the layout.  A route
 gives only its cell map, the block positions of one (cell, slot) and
 which take the tilde: from chain starts and in-cell offsets, or from
-level positions and level-pair slots.  The maps share no code, so the
+the level grid and level-pair slots.  The maps share no code, so the
 cross-check in weyr_centralizer_basis compares independent readings.
 """
 
@@ -55,7 +56,6 @@ from .errors import (
 )
 from .commutant import commutes
 from .matrices import (
-    BlockLayout,
     Matrix,
     _vector_store,
     block_below_diagonal,
@@ -236,17 +236,6 @@ def jordan_centralizer_basis(spec):
     return _placed_basis(spec, jordan_form(spec), cell)
 
 
-def _weyr_positions(segre):
-    """Global block index of every (level, chain) pair, 0-based."""
-    pos = {}
-    g = 0
-    for k, width in enumerate(segre.tau, start=1):
-        for i in range(width):
-            pos[(k, i + 1)] = g
-            g += 1
-    return pos
-
-
 def _weyr_slot(alpha_i, alpha_j, k1, k2):
     """Slot index visible at level pair (k1, k2) of cell (i, j)."""
     if alpha_i >= alpha_j:
@@ -256,8 +245,7 @@ def _weyr_slot(alpha_i, alpha_j, k1, k2):
 
 def weyr_centralizer_basis_direct(spec):
     """Level-grid placement of the same parameters, no permutation used."""
-    alpha = spec.segre.alpha
-    pos = _weyr_positions(spec.segre)
+    alpha, levels = spec.segre.alpha, spec.segre.levels
 
     def cell(ci, cj, k):
         ai, aj = alpha[ci - 1], alpha[cj - 1]
@@ -266,7 +254,8 @@ def weyr_centralizer_basis_direct(spec):
             for k2 in range(1, aj + 1):
                 slot = _weyr_slot(ai, aj, k1, k2)
                 if slot in (k, k + 1):
-                    blocks[(pos[(k1, ci)], pos[(k2, cj)])] = slot != k
+                    blocks[(levels[k1 - 1] + ci - 1,
+                            levels[k2 - 1] + cj - 1)] = slot != k
         return blocks
 
     return _placed_basis(spec, weyr_form(spec), cell)
@@ -304,9 +293,8 @@ def centralizer_dimension(alpha, s):
 
 
 def weyr_layout(spec):
-    """Square block layout with one cut per level (s*tau_k sizes)."""
-    sizes = [spec.s * t for t in spec.segre.tau]
-    return BlockLayout.from_sizes(sizes, sizes)
+    """Cut tuple of the square level grid: s * levels, level k s*tau_k wide."""
+    return tuple(spec.s * c for c in spec.segre.levels)
 
 
 def weyr_determinant(k_mat, spec):
@@ -319,15 +307,14 @@ def weyr_determinant(k_mat, spec):
         raise ShapeMismatchError(
             f"expected a {spec.n}x{spec.n} matrix, got "
             f"{k_mat.rows}x{k_mat.cols}")
-    layout = weyr_layout(spec)
-    below = block_below_diagonal(k_mat, layout)
+    cuts = weyr_layout(spec)
+    below = block_below_diagonal(k_mat, cuts)
     if below is not None:
         bi, bj = below
         raise ShapeMismatchError(
             f"nonzero block below the level diagonal at "
             f"({bi + 1},{bj + 1})")
     det = spec.field.one
-    cuts = layout.row_cuts
     for lo, hi in zip(cuts, cuts[1:]):
         block = [r[lo:hi] for r in k_mat._rows[lo:hi]]
         det = det * Matrix._from_payloads(k_mat.field, block).determinant()

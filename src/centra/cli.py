@@ -10,7 +10,7 @@ import functools
 import json
 import sys
 
-from .algebra import Poly, field_from_name
+from .algebra import SIZE_CAP, Poly, _refuse_long_int, field_from_name
 from .canonical import jordan_form, make_spec, weyr_form, weyr_permutation
 from .centralizers import (
     centralizer_dimension,
@@ -35,10 +35,10 @@ from .verify import run_invariant_suite
 
 def _parse_alpha(text):
     try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        _refuse_long_int(exc, "alpha part", SIZE_CAP)
         raise ParseError(f"alpha must be comma-separated integers: {text!r}")
-    return parts
 
 
 def _canonical_spec(task):
@@ -94,15 +94,11 @@ def _cmd_form(task):
 
 def _cmd_permutation(task):
     spec = _canonical_spec(task)
-    order = weyr_permutation(spec)
-    levels = []
-    at = 0
-    for width in spec.segre.tau:
-        levels.append([o + 1 for o in order[at:at + width]])
-        at += width
+    order = [o + 1 for o in weyr_permutation(spec)]
+    cuts = spec.segre.levels
+    levels = [order[a:b] for a, b in zip(cuts, cuts[1:])]
     if task.fmt == "json":
-        print(json.dumps({"order": [o + 1 for o in order],
-                          "levels": levels}))
+        print(json.dumps({"order": order, "levels": levels}))
     else:
         print(" | ".join(" ".join(str(x) for x in lv) for lv in levels))
     return 0

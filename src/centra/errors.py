@@ -87,7 +87,8 @@ class LengthMismatchError(CentraError):
 
 
 class TooLargeError(CentraError):
-    """An input exceeds algebra.SIZE_CAP or the oracle's size cap."""
+    """An input exceeds algebra.SIZE_CAP, the oracle's size cap or
+    Python's digit limit on converting integers to and from text."""
 
 
 class SingularMatrixError(CentraError):

@@ -52,10 +52,9 @@ with integer entries for GF(p) and scalar-syntax strings otherwise.
 """
 
 from bisect import bisect_right
-from itertools import accumulate
 from operator import itemgetter
 
-from .algebra import PrimeField, Scalar, field_from_name
+from .algebra import PrimeField, Scalar, _refuse_long_int, field_from_name
 from .errors import (
     BadPermutationError,
     FieldMismatchError,
@@ -352,29 +351,6 @@ def poly_at_matrix(p, a):
     return result
 
 
-class BlockLayout:
-    """Cut positions naming a block grid: 0 = start, last = full size."""
-
-    __slots__ = ("row_cuts", "col_cuts")
-
-    def __init__(self, row_cuts, col_cuts):
-        for cuts in (row_cuts, col_cuts):
-            if len(cuts) < 2 or cuts[0] != 0:
-                raise ShapeMismatchError(f"bad cuts {cuts}")
-            if any(a >= b for a, b in zip(cuts, cuts[1:])):
-                raise ShapeMismatchError(f"cuts not increasing: {cuts}")
-        self.row_cuts = tuple(row_cuts)
-        self.col_cuts = tuple(col_cuts)
-
-    @classmethod
-    def from_sizes(cls, row_sizes, col_sizes):
-        return cls((0, *accumulate(row_sizes)), (0, *accumulate(col_sizes)))
-
-    @property
-    def nrow_blocks(self):
-        return len(self.row_cuts) - 1
-
-
 def place_blocks(field, s, nblocks, placed):
     """The (nblocks*s)^2 matrix of s x s blocks {(bi, bj): block}, else 0.
 
@@ -391,24 +367,25 @@ def place_blocks(field, s, nblocks, placed):
     return Matrix._from_payloads(field, rows)
 
 
-def block_below_diagonal(m, layout):
+def block_below_diagonal(m, cuts):
     """The first nonzero block below the diagonal of a square block grid.
 
+    cuts = (0, ..., n) are the block boundaries, shared by rows and
+    columns: block bi spans rows and columns cuts[bi] .. cuts[bi+1]-1.
     Block row bi is nonzero below the diagonal when one of its rows has a
-    nonzero entry left of col_cuts[bi].  Returns 0-based (bi, bj) for the
+    nonzero entry left of cuts[bi].  Returns 0-based (bi, bj) for the
     first such block row and the lowest such bj in it, or None.  Only the
     first nonzero column of each row is read, from the cached nonzero
     lists; no block is built.
     """
-    if layout.row_cuts[-1] != m.rows or layout.col_cuts[-1] != m.cols:
-        raise ShapeMismatchError("layout does not cover the matrix")
-    rc, cc = layout.row_cuts, layout.col_cuts
+    if cuts[-1] != m.rows or cuts[-1] != m.cols:
+        raise ShapeMismatchError("cuts do not cover the matrix")
     nz = m._nonzeros()
-    for bi in range(1, layout.nrow_blocks):
-        j = min([row[0][0] for row in nz[rc[bi]:rc[bi + 1]] if row],
-                default=cc[bi])
-        if j < cc[bi]:
-            return bi, bisect_right(cc, j) - 1
+    for bi in range(1, len(cuts) - 1):
+        j = min([row[0][0] for row in nz[cuts[bi]:cuts[bi + 1]] if row],
+                default=cuts[bi])
+        if j < cuts[bi]:
+            return bi, bisect_right(cuts, j) - 1
     return None
 
 
@@ -478,7 +455,8 @@ def matrix_from_text(text):
         raise ParseError(f"bad matrix header {lines[0]!r}")
     try:
         rows, cols = int(header[0]), int(header[1])
-    except ValueError:
+    except ValueError as exc:
+        _refuse_long_int(exc, "matrix header size")
         raise ParseError(f"bad matrix header {lines[0]!r}") from None
     field = field_from_name(header[2])
     if len(lines) != rows + 1:

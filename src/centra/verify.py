@@ -113,9 +113,9 @@ def run_invariant_suite(spec, seed=0, samples=5, max_n=None):
     check("weyr_basis_commutes",
           all(commutes(w, b) for b in zw.elements),
           "every basis element commutes with the Weyr form")
-    layout = weyr_layout(spec)
+    cuts = weyr_layout(spec)
     check("weyr_basis_triangular",
-          all(block_below_diagonal(b, layout) is None
+          all(block_below_diagonal(b, cuts) is None
               for b in zw.elements),
           "basis elements are block upper triangular in level cuts")
     conj_elems = [conjugate_by_block_permutation(b, order, spec.s)

@@ -151,7 +151,8 @@ def test_poly_parse_errors():
 
 
 def test_parse_size_cap():
-    """Degrees and Q exponents above SIZE_CAP end at once in TooLargeError."""
+    """Degrees and Q exponents above SIZE_CAP, and integers past the digit
+    limit of int(), end at once in TooLargeError."""
     f2, ft = prime_field(2), rational_function_field(2)
     assert Poly.parse(f"x^{SIZE_CAP}+1", f2).degree == SIZE_CAP
     assert QQ.scalar(f"1e-{SIZE_CAP}") == QQ.scalar(10) ** -SIZE_CAP
@@ -162,11 +163,16 @@ def test_parse_size_cap():
             (lambda t: Poly.parse(t, ft), "t^99999999999999*x"),
             (QQ.scalar, f"1e{SIZE_CAP + 1}"),
             (QQ.scalar, "2.5E-1_000_000_000"),
-            (QQ.scalar, "0e99999999")]:
+            (QQ.scalar, "0e99999999"),
+            (QQ.scalar, "1e" + "9" * 5000),
+            (QQ.scalar, "1" * 5000),
+            (prime_field(3).scalar, "1" * 5000),
+            (field_from_name, "gf:" + "1" * 5000),
+            (lambda t: Poly.parse(t, f2), "x^" + "1" * 5000)]:
         with pytest.raises(TooLargeError):
             parse(text)
     # Not literals at all, whatever the size of the exponent.
-    for text in ["1/2e99999999", "1e 99999999", "1e" + "9" * 5000]:
+    for text in ["1/2e99999999", "1e 99999999"]:
         with pytest.raises(ParseError):
             QQ.scalar(text)
 

@@ -80,16 +80,13 @@ def test_companion_is_nonderogatory():
 
 def test_segre_indexing_goldens():
     d = segre_indexing((3, 2, 2))
-    assert d.beta == (3, 2)
-    assert d.freq == (1, 2)
-    assert d.cumfreq == (1, 3)
     assert d.sigma == (3, 5, 7)
     assert d.tau == (3, 3, 1)
-    assert d.r == 7 and d.m == 3 and d.h == 2
+    assert d.levels == (0, 3, 6, 7)
+    assert d.r == 7 and d.m == 3
     assert segre_indexing((5, 4, 3, 1, 1)).tau == (5, 3, 3, 2, 1)
     single = segre_indexing((4,))
-    assert single.beta == (4,) and single.freq == (1,)
-    assert single.cumfreq == (1,) and single.sigma == (4,)
+    assert single.sigma == (4,) and single.levels == (0, 1, 2, 3, 4)
     with pytest.raises(NotSortedDescendingError):
         segre_indexing((2, 3))
     with pytest.raises(NonPositivePartError):
@@ -159,6 +156,20 @@ def test_block_minimal_polynomial(q):
                 power = power * pk
             assert not power.is_zero()
             assert (power * pk).is_zero()
+
+
+def test_jordan_block_checks_the_spec():
+    """jordan_block runs make_spec's checks before building anything."""
+    x2 = Poly.parse("x^2+1", F3)
+    gft_p = Poly.parse("x^2+t", rational_function_field(2))
+    for args, error in [
+            ((Poly.parse("x^2+2", F3), 2), ReducibleError),
+            ((Poly.parse("x+1", F3), SIZE_CAP + 1), TooLargeError),
+            ((x2, 0), NonPositivePartError),
+            ((gft_p, 2, FIRST_KIND), NonSeparableFirstKindError),
+            ((x2, 2, "weird"), ParseError)]:
+        with pytest.raises(error):
+            jordan_block(*args)
 
 
 def test_jordan_form_layout():

@@ -217,6 +217,26 @@ def test_rational_past_print_digit_limit_exit_two(capsys, fmt):
     assert f"{sys.get_int_max_str_digits()}-digit limit" in err
 
 
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "q", "--poly", f"x-{_LONG}"],
+    ["--field", "gf:5", "--poly", f"x-{_LONG}"],
+    ["--field", "gft:3", "--assume-irreducible", "--poly", f"x-{_LONG}"],
+    ["--poly", f"x^{_LONG}"],
+    ["--poly", "x+1", "--alpha", _LONG],
+    ["--field", f"gf:{_LONG}", "--poly", "x+1"],
+], ids=["q", "gf", "gft", "exponent", "alpha", "field"])
+def test_overlong_integer_exit_two(capsys, argv):
+    """A number past Python's digit limit on int() ends in one short line
+    that does not repeat it."""
+    rc, out, err = _run(capsys, ["jordan", "--alpha", "1", *argv])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("data", [
     b'{"rows": 2, "cols": ',
     b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": 5}',
@@ -226,6 +246,7 @@ def test_rational_past_print_digit_limit_exit_two(capsys, fmt):
     b"\xff\xfe 1 1 gf:3",
     b"1 1 gft:2\nt^99999999999999\n",
     b"1 1 q\n1e-99999999999999\n",
+    pytest.param(_LONG.encode() + b" 1 gf:3\n1\n", id="long-header"),
 ])
 def test_bad_input_file_exit_two(tmp_path, capsys, data):
     path = tmp_path / "m.json"
@@ -233,6 +254,7 @@ def test_bad_input_file_exit_two(tmp_path, capsys, data):
     rc, out, err = _run(capsys, ["oracle", "--input", str(path)])
     assert out == ""
     _assert_one_line_error(rc, err)
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("argv", [

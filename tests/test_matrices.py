@@ -1,5 +1,6 @@
 """Dense exact matrices: arithmetic, elimination, blocks, serialization."""
 
+import itertools
 import json
 import random
 
@@ -7,7 +8,6 @@ import pytest
 
 from centra import (
     BadPermutationError,
-    BlockLayout,
     FieldMismatchError,
     Matrix,
     NotSquareError,
@@ -20,6 +20,7 @@ from centra import (
     companion_matrix,
     conjugate_by_block_permutation,
     corner_matrix,
+    make_spec,
     matrix_from_json_obj,
     matrix_from_text,
     matrix_to_json_obj,
@@ -27,6 +28,7 @@ from centra import (
     poly_at_matrix,
     prime_field,
     rational_function_field,
+    weyr_layout,
 )
 from centra.matrices import block_below_diagonal, place_blocks
 
@@ -284,19 +286,6 @@ def test_poly_at_matrix():
         poly_at_matrix(p, Matrix.zeros(F3, 2, 3))
 
 
-def test_block_layout_validation():
-    layout = BlockLayout.from_sizes([2, 3], [1, 4])
-    assert layout.row_cuts == (0, 2, 5)
-    assert layout.col_cuts == (0, 1, 5)
-    assert layout.nrow_blocks == 2
-    with pytest.raises(ShapeMismatchError):
-        BlockLayout((0, 2, 1), (0, 1))
-    with pytest.raises(ShapeMismatchError):
-        BlockLayout((1, 2), (0, 1))
-    with pytest.raises(ShapeMismatchError):
-        BlockLayout((0,), (0, 1))
-
-
 @pytest.mark.parametrize("field", [F5, QQ, rational_function_field(2)],
                          ids=lambda f: f.name)
 def test_block_below_diagonal_matches_block_grid(field):
@@ -308,14 +297,25 @@ def test_block_below_diagonal_matches_block_grid(field):
                 for r in sizes]
         m = Matrix(field, [[v for block in brow for v in block.row(i)]
                            for brow in grid for i in range(brow[0].rows)])
-        layout = BlockLayout.from_sizes(sizes, sizes)
+        cuts = (0, *itertools.accumulate(sizes))
         first = next(((bi, bj) for bi, row in enumerate(grid)
                       for bj, block in enumerate(row[:bi])
                       if not block.is_zero()), None)
-        assert block_below_diagonal(m, layout) == first
+        assert block_below_diagonal(m, cuts) == first
     with pytest.raises(ShapeMismatchError):
-        block_below_diagonal(Matrix.zeros(field, 3, 3),
-                             BlockLayout.from_sizes([1, 1], [1, 1]))
+        block_below_diagonal(Matrix.zeros(field, 3, 3), (0, 1, 2))
+    # One nonzero planted in each below-diagonal block of the level grid
+    # of alpha = (3, 2, 2, 1): tau = (4, 3, 1), s = 2, cuts (0, 8, 14, 16).
+    spec = make_spec(Poly.parse("x^2+x+1", field), (3, 2, 2, 1),
+                     assume_irreducible=True)
+    cuts = weyr_layout(spec)
+    assert cuts == (0, 8, 14, 16)
+    for bi in range(1, len(cuts) - 1):
+        for bj in range(bi):
+            rows = [[field.zero] * spec.n for _ in range(spec.n)]
+            rows[rng.randrange(cuts[bi], cuts[bi + 1])][
+                rng.randrange(cuts[bj], cuts[bj + 1])] = field.one
+            assert block_below_diagonal(Matrix(field, rows), cuts) == (bi, bj)
 
 
 def _dense_placement(field, s, nblocks, placed):

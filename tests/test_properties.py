@@ -36,6 +36,7 @@ from centra import (  # noqa: E402
     commutant_dimension,
     commutes,
     conjugate_by_block_permutation,
+    conjugate_partition,
     field_from_name,
     is_irreducible,
     jordan_centralizer_basis,
@@ -46,10 +47,12 @@ from centra import (  # noqa: E402
     prime_field,
     rational_function_field,
     sample_element,
+    segre_indexing,
     weyr_centralizer_basis,
     weyr_centralizer_basis_direct,
     weyr_determinant,
     weyr_form,
+    weyr_layout,
     weyr_permutation,
 )
 from centra.cli import main  # noqa: E402
@@ -142,6 +145,20 @@ def _specs(draw):
         alpha.append(draw(st.integers(1, min([rest] + alpha[-1:]))))
         rest -= alpha[-1]
     return make_spec(p, alpha, draw(st.sampled_from([E_KIND, FIRST_KIND])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=9),
+       st.integers(1, 3))
+def test_levels_are_prefix_sums_of_tau(parts, s):
+    """levels is 0 then the running sums of tau; weyr_layout is s times it."""
+    alpha = tuple(sorted(parts, reverse=True))
+    running = [0]
+    for t in conjugate_partition(alpha):
+        running.append(running[-1] + t)
+    assert segre_indexing(alpha).levels == tuple(running)
+    spec = make_spec(_irreducibles(2, s)[0], alpha)
+    assert weyr_layout(spec) == tuple(s * c for c in running)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
