@@ -197,8 +197,6 @@ class Field:
                 raise FieldMismatchError(
                     f"scalar of {x.field.name} given to {self.name}")
             return x
-        if isinstance(x, bool):
-            return Scalar(self, self._from_int(int(x)))
         if isinstance(x, int):
             return Scalar(self, self._from_int(x))
         if isinstance(x, str):

@@ -18,7 +18,7 @@ from .centralizers import (
     weyr_centralizer_basis,
     weyr_determinant,
 )
-from .commutant import commutant_basis, commutant_dimension
+from .commutant import DEFAULT_MAX_N, commutant_basis, commutant_dimension
 from .errors import (
     CentraError,
     IrreducibilityUnsupportedError,
@@ -31,6 +31,9 @@ from .matrices import (
     matrix_to_text,
 )
 from .verify import run_invariant_suite
+
+# Every error line is shorter than this in UTF-8, newline included.
+ERROR_LINE_BYTES = 200
 
 
 def _parse_alpha(text):
@@ -247,9 +250,8 @@ def _build_parser():
                         dest="fmt", help="output format (default text)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for any sampled randomness (default 0)")
-        sp.add_argument("--max-n", type=int, default=None,
-                        help="oracle size cap (default env CENTRA_MAX_N "
-                             "or 40)")
+        sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                        help=f"oracle size cap (default {DEFAULT_MAX_N})")
 
     for name in ("jordan", "weyr", "permutation", "centralizer", "dim",
                  "det", "verify"):
@@ -280,8 +282,15 @@ def main(argv=None):
         ns = _build_parser().parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except (CentraError, OSError) as exc:
-        # A message may quote user text with line breaks: keep one line.
-        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        # A message may quote user text with line breaks, of any length:
+        # keep one line, and only both ends of a long one.
+        text = " ".join(str(exc).splitlines())
+        data = text.encode(errors="backslashreplace")
+        end = (ERROR_LINE_BYTES - len("error:  ... \n")) // 2
+        if len(data) > 2 * end:
+            data = data[:end] + b" ... " + data[-end:]
+            text = data.decode(errors="ignore")
+        print("error:", text, file=sys.stderr)
         return 2
 
 

@@ -17,43 +17,25 @@ about canonical forms so it can serve as an oracle for them:
   which depends only on the kernel, so the output is the dense oracle's
   byte for byte.
 Every vector step is one row-store combine, in the store the field picks.
-The size cap keeps large inputs from being solved by accident.
+The size cap, argument max_n (default DEFAULT_MAX_N), keeps large inputs
+from being solved by accident; no other module knows or checks it.
 commutes is a * x == x * a: this module has no product kernel of its own.
 """
 
-import os
 from operator import itemgetter
 
 from .errors import NotSquareError, ParseError, ShapeMismatchError, TooLargeError
 from .matrices import Matrix, _forward, _vector_store
 
 DEFAULT_MAX_N = 40
-MAX_N_ENV = "CENTRA_MAX_N"
-
-
-def _resolve_cap(max_n):
-    if max_n is not None:
-        if max_n < 0:
-            raise ParseError(f"--max-n must be >= 0, got {max_n}")
-        return max_n
-    text = os.environ.get(MAX_N_ENV)
-    if text is not None:
-        try:
-            cap = int(text)
-        except ValueError:
-            raise ParseError(
-                f"{MAX_N_ENV} must be an integer, got {text!r}") from None
-        if cap < 0:
-            raise ParseError(f"{MAX_N_ENV} must be >= 0, got {cap}")
-        return cap
-    return DEFAULT_MAX_N
 
 
 def _check_cap(a, max_n):
-    cap = _resolve_cap(max_n)
-    if a.rows > cap:
+    if max_n < 0:
+        raise ParseError(f"--max-n must be >= 0, got {max_n}")
+    if a.rows > max_n:
         raise TooLargeError(
-            f"matrix size {a.rows} exceeds the oracle cap {cap}")
+            f"matrix size {a.rows} exceeds the oracle cap {max_n}")
 
 
 def _hessenberg(a):
@@ -221,7 +203,7 @@ def _canonical(field, rows):
     return [store.payloads(v, ncols)[::-1] for v in reversed(done)]
 
 
-def commutant_basis(a, max_n=None):
+def commutant_basis(a, max_n=DEFAULT_MAX_N):
     """Kernel of the commutator map, reshaped to n x n matrices.
 
     When A is upper triangular, S is the identity and the reduced system
@@ -239,7 +221,7 @@ def commutant_basis(a, max_n=None):
             for v in kernel]
 
 
-def commutant_dimension(a, max_n=None):
+def commutant_dimension(a, max_n=DEFAULT_MAX_N):
     """dim of the commuting space: k*n minus the rank of the system."""
     _check_cap(a, max_n)
     system = sylvester_system(a)

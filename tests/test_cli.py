@@ -237,6 +237,25 @@ def test_overlong_integer_exit_two(capsys, argv):
     assert len(err.encode()) < 200
 
 
+_TOKEN = "a" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "gf:5", "--poly", f"x-{_TOKEN}"],
+    ["--field", "gf:5", "--poly", "x-" + "\u00e9" * 5000],
+    ["--poly", "x+1", "--alpha", f"1,{_TOKEN}"],
+    ["--kind", _TOKEN],
+    ["--field", f"gf:{_TOKEN}"],
+    ["--field", "gft:3", "--poly", f"x-({_TOKEN})"],
+], ids=["poly", "non-ascii", "alpha", "kind", "field", "gft"])
+def test_long_token_error_is_short(capsys, argv):
+    """A malformed token of any length ends in one short error line."""
+    rc, out, err = _run(capsys, ["jordan", "--alpha", "1", *argv])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("data", [
     b'{"rows": 2, "cols": ',
     b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": 5}',
@@ -247,6 +266,7 @@ def test_overlong_integer_exit_two(capsys, argv):
     b"1 1 gft:2\nt^99999999999999\n",
     b"1 1 q\n1e-99999999999999\n",
     pytest.param(_LONG.encode() + b" 1 gf:3\n1\n", id="long-header"),
+    pytest.param(f"1 1 gf:3\n{_TOKEN}\n".encode(), id="long-entry"),
 ])
 def test_bad_input_file_exit_two(tmp_path, capsys, data):
     path = tmp_path / "m.json"
@@ -255,19 +275,6 @@ def test_bad_input_file_exit_two(tmp_path, capsys, data):
     assert out == ""
     _assert_one_line_error(rc, err)
     assert len(err.encode()) < 200
-
-
-@pytest.mark.parametrize("argv", [
-    ["dim", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1",
-     "--oracle"],
-    ["verify", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1"],
-])
-def test_bad_max_n_env_exit_two(monkeypatch, capsys, argv):
-    monkeypatch.setenv("CENTRA_MAX_N", "abc")
-    rc, out, err = _run(capsys, argv)
-    assert out == ""
-    _assert_one_line_error(rc, err)
-    assert "CENTRA_MAX_N" in err
 
 
 _ORACLE_ARGVS = [
@@ -295,25 +302,26 @@ def test_negative_max_n_exit_two(tmp_path, capsys, argv):
     assert "--max-n" in err and "cap" not in err
 
 
-@pytest.mark.parametrize("argv", _ORACLE_ARGVS, ids=lambda a: a[0])
-def test_negative_max_n_env_exit_two(monkeypatch, tmp_path, capsys, argv):
-    monkeypatch.setenv("CENTRA_MAX_N", "-1")
-    rc, out, err = _run(capsys, _with_input(argv, tmp_path))
-    assert out == ""
-    _assert_one_line_error(rc, err)
-    assert "CENTRA_MAX_N" in err
-
-
-def test_zero_max_n_skips_the_oracle(monkeypatch, capsys):
+def test_zero_max_n_skips_the_oracle(capsys):
     rc, out, _ = _run(capsys, ["verify", "--field", "gf:3", "--poly",
                                "x^2+1", "--alpha", "2,1", "--max-n", "0"])
     assert rc == 0
     assert "oracle" not in out
-    monkeypatch.setenv("CENTRA_MAX_N", "0")
-    rc, out, _ = _run(capsys, ["verify", "--field", "gf:3", "--poly",
-                               "x^2+1", "--alpha", "2,1"])
-    assert rc == 0
-    assert "oracle" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1",
+     "--oracle", "--format", "json"],
+    ["verify", "--field", "gf:3", "--poly", "x^2+1", "--alpha", "2,1"],
+], ids=lambda a: a[0])
+def test_environment_does_not_change_output(monkeypatch, capsys, argv):
+    """The oracle cap is --max-n or its default, never an ambient input."""
+    monkeypatch.delenv("CENTRA_MAX_N", raising=False)
+    expected = _run(capsys, argv)
+    assert expected[0] == 0 and "oracle" in expected[1]
+    for value in ("0", "abc"):
+        monkeypatch.setenv("CENTRA_MAX_N", value)
+        assert _run(capsys, argv) == expected
 
 
 def test_negative_samples_exit_two(capsys):

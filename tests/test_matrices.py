@@ -36,6 +36,7 @@ F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
 F_BIG = prime_field(4294967291)
+FT2 = rational_function_field(2)
 
 
 def _random_matrix(field, rows, cols, rng):
@@ -73,7 +74,7 @@ def _scalar_product(x, y):
                             for i in range(x.rows)])
 
 
-@pytest.mark.parametrize("field", [F2, F_BIG, QQ, rational_function_field(2)],
+@pytest.mark.parametrize("field", [F2, F_BIG, QQ, FT2],
                          ids=lambda f: f.name)
 def test_row_kernels_match_scalar_reference(field):
     """+, -, scalar *, matrix * and [v, Cv, ...], entry by Scalar entry.
@@ -185,7 +186,7 @@ def test_kernel_conventions():
 def test_kernel_free_variable_identity():
     # each kernel vector carries a 1 on its own free column, 0 on others
     rng = random.Random(23)
-    for field in (F2, F5, QQ):
+    for field in (F2, F5, QQ, FT2):
         for _ in range(60):
             a = _random_matrix(field, rng.randrange(1, 6),
                                rng.randrange(1, 6), rng)
@@ -234,7 +235,7 @@ def test_determinant_examples():
 
 def test_determinant_multiplicative():
     rng = random.Random(77)
-    for field in (F2, F3, QQ):
+    for field in (F2, F3, QQ, FT2):
         for _ in range(100):
             n = rng.randrange(1, 5)
             a = _random_matrix(field, n, n, rng)
@@ -244,7 +245,7 @@ def test_determinant_multiplicative():
 
 def test_determinant_matches_cofactor_oracle():
     rng = random.Random(78)
-    for field in (F3, QQ):
+    for field in (F3, QQ, FT2):
         for _ in range(60):
             n = rng.randrange(1, 5)
             a = _random_matrix(field, n, n, rng)
@@ -253,7 +254,7 @@ def test_determinant_matches_cofactor_oracle():
 
 def test_inverse():
     rng = random.Random(3)
-    for field in (F3, F5, QQ):
+    for field in (F3, F5, QQ, FT2):
         found = 0
         while found < 25:
             a = _random_matrix(field, 3, 3, rng)
@@ -286,7 +287,7 @@ def test_poly_at_matrix():
         poly_at_matrix(p, Matrix.zeros(F3, 2, 3))
 
 
-@pytest.mark.parametrize("field", [F5, QQ, rational_function_field(2)],
+@pytest.mark.parametrize("field", [F5, QQ, FT2],
                          ids=lambda f: f.name)
 def test_block_below_diagonal_matches_block_grid(field):
     rng = random.Random(17)
@@ -328,7 +329,7 @@ def _dense_placement(field, s, nblocks, placed):
     return Matrix(field, rows)
 
 
-@pytest.mark.parametrize("field", [F5, QQ, rational_function_field(2)],
+@pytest.mark.parametrize("field", [F5, QQ, FT2],
                          ids=lambda f: f.name)
 def test_place_blocks_matches_dense_reference(field):
     rng = random.Random(16)
@@ -387,7 +388,7 @@ def test_block_permutation_conjugation():
 
 def test_text_round_trip():
     rng = random.Random(44)
-    fields = [F2, F3, QQ, rational_function_field(2)]
+    fields = [F2, F3, QQ, FT2]
     for field in fields:
         for _ in range(25):
             a = _random_matrix(field, rng.randrange(1, 5),
@@ -403,7 +404,7 @@ def test_text_format_shape():
 
 
 def test_text_format_repeated_rows():
-    for field in (F5, QQ, rational_function_field(2)):
+    for field in (F5, QQ, FT2):
         rng = random.Random(46)
         block = _random_matrix(field, 2, 2, rng)
         row = [field.random(rng) for _ in range(3)]

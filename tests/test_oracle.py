@@ -289,24 +289,15 @@ def test_basis_elements_commute_pairwise_with_generator():
         assert commutes(a, b)
 
 
-def test_size_cap(monkeypatch):
+def test_size_cap():
     a = Matrix.identity(F2, 3)
     with pytest.raises(TooLargeError):
         commutant_basis(a, max_n=2)
     with pytest.raises(TooLargeError):
         commutant_dimension(a, max_n=2)
-    monkeypatch.setenv("CENTRA_MAX_N", "2")
-    with pytest.raises(TooLargeError):
-        commutant_dimension(a)
-    # explicit parameter wins over the environment
     assert commutant_dimension(a, max_n=5) == 9
-    monkeypatch.setenv("CENTRA_MAX_N", "50")
-    assert commutant_dimension(a) == 9
     # 0 is a cap like any other; a negative one is an error.
     with pytest.raises(TooLargeError):
         commutant_dimension(a, max_n=0)
     with pytest.raises(ParseError, match="--max-n"):
         commutant_dimension(a, max_n=-1)
-    monkeypatch.setenv("CENTRA_MAX_N", "-3")
-    with pytest.raises(ParseError, match="CENTRA_MAX_N"):
-        commutant_basis(a)
