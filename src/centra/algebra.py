@@ -387,8 +387,7 @@ class PrimeField(Field):
             _refuse_long_int(exc, f"{self.name} literal")
             raise ParseError(f"bad {self.name} literal {text!r}") from None
 
-    def _format(self, a):
-        return str(a)
+    _format = staticmethod(str)
 
     def _random(self, rng):
         return rng.randrange(self.p)

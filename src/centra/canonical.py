@@ -23,8 +23,8 @@ reindexing and is an extension of the classical corner-kind construction
 All constructions are plain index placement; no elimination is involved.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .algebra import SIZE_CAP, is_irreducible, is_separable
 from .errors import (
@@ -63,8 +63,7 @@ def _validated_partition(alpha):
     return alpha
 
 
-@dataclass(frozen=True)
-class SegreData:
+class SegreData(NamedTuple):
     """A partition with the two grids that index its blocks.
 
     alpha   the partition (nonincreasing, positive parts)
@@ -96,8 +95,7 @@ def segre_indexing(alpha):
                      tuple(accumulate(tau, initial=0)))
 
 
-@dataclass(frozen=True)
-class CanonicalSpec:
+class CanonicalSpec(NamedTuple):
     """Validated (p, kind, alpha) data defining one primary component."""
 
     p: object

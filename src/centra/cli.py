@@ -27,6 +27,7 @@ from .errors import (
 from .matrices import (
     matrix_from_json_obj,
     matrix_from_text,
+    matrix_to_json,
     matrix_to_json_obj,
     matrix_to_text,
 )
@@ -70,17 +71,30 @@ def _read_matrix(path):
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or an over-long int
+            _refuse_long_int(exc, "JSON matrix entry")
             raise ParseError(f"bad JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"JSON in {path} nests too deeply") from None
         return matrix_from_json_obj(obj)
     return matrix_from_text(text)
 
 
 def _emit_matrix(m, fmt):
+    print(matrix_to_json(m) if fmt == "json" else matrix_to_text(m))
+
+
+def _emit_basis(fmt, line, head, elements):
+    """The text head line or JSON head dict, then the matrices, which
+    share one row table; JSON splices "basis" in before head's "}"."""
+    seen = {}
     if fmt == "json":
-        print(json.dumps(matrix_to_json_obj(m)))
+        body = ", ".join([matrix_to_json(b, seen) for b in elements])
+        head = json.dumps(head, default=matrix_to_json_obj)
+        print(f'{head[:-1]}, "basis": [{body}]}}')
     else:
-        print(matrix_to_text(m))
+        print("\n\n".join([line, *[matrix_to_text(b, seen)
+                                    for b in elements]]))
 
 
 def _layout_text(layout):
@@ -112,18 +126,12 @@ def _cmd_centralizer(task):
     build = (jordan_centralizer_basis if task.form == "jordan"
              else weyr_centralizer_basis)
     basis = build(spec)
-    if task.fmt == "json":
-        print(json.dumps({
-            "dim": basis.dim,
-            "layout": [list(s) for s in basis.layout],
-            "generator": matrix_to_json_obj(basis.generator),
-            "basis": [matrix_to_json_obj(b) for b in basis.elements],
-        }))
-    else:
-        print(f"dim={basis.dim} layout={_layout_text(basis.layout)}")
-        for b in basis.elements:
-            print()
-            print(matrix_to_text(b))
+    _emit_basis(task.fmt,
+                f"dim={basis.dim} layout={_layout_text(basis.layout)}",
+                {"dim": basis.dim,
+                 "layout": [list(s) for s in basis.layout],
+                 "generator": basis.generator},
+                basis.elements)
     return 0
 
 
@@ -192,14 +200,7 @@ def _cmd_oracle(task):
         raise ParseError("--input is required for oracle")
     m = _read_matrix(task.input_path)
     basis = commutant_basis(m, max_n=task.max_n)
-    if task.fmt == "json":
-        print(json.dumps({"dim": len(basis),
-                          "basis": [matrix_to_json_obj(b) for b in basis]}))
-    else:
-        print(f"dim={len(basis)}")
-        for b in basis:
-            print()
-            print(matrix_to_text(b))
+    _emit_basis(task.fmt, f"dim={len(basis)}", {"dim": len(basis)}, basis)
     return 0
 
 

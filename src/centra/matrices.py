@@ -16,10 +16,12 @@ place_blocks is the one block assembler: the canonical forms, the
 centralizer bases and block_permutation_matrix are all placements of
 s x s blocks in a square block grid.  Row tuples may be shared within a
 matrix and between matrices, and must never be mutated: place_blocks
-gives every row that no block reaches one zero row,
+gives every row that no block reaches one zero row, and
 conjugate_by_block_permutation remaps each distinct row object once and
-keeps the sharing, and matrix_to_text and matrix_to_json_obj format each
-distinct row object once.
+keeps the sharing.  So a basis repeats a few rows many times, and
+matrix_to_text and matrix_to_json encode each distinct row once per
+output: a caller printing several matrices passes them one row table
+(seen), keyed by row value except over Q (see _once_per_row).
 
 One forward routine (_forward) and one kernel routine (_kernel_vectors)
 serve every field and every caller (rank, determinant, kernel_basis,
@@ -52,9 +54,16 @@ with integer entries for GF(p) and scalar-syntax strings otherwise.
 """
 
 from bisect import bisect_right
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .algebra import PrimeField, Scalar, _refuse_long_int, field_from_name
+from .algebra import (
+    PrimeField,
+    RationalField,
+    Scalar,
+    _refuse_long_int,
+    field_from_name,
+)
 from .errors import (
     BadPermutationError,
     FieldMismatchError,
@@ -389,19 +398,24 @@ def block_below_diagonal(m, cuts):
     return None
 
 
-def _once_per_row(fn, rows):
-    """[fn(row) for row in rows], calling fn once per distinct row object.
+def _once_per_row(fn, rows, done=None, by_value=False):
+    """[fn(row) for row in rows], calling fn once per distinct row.
 
-    Keyed by identity, not value: shared rows are what place_blocks
-    builds, and hashing a row of Fractions costs more than formatting it.
+    done holds the results so far; the matrices of one output share it.
+    Rows are keyed by identity or, with by_value, by value, which also
+    merges equal rows of different objects: worth it for GF(p) and
+    GF(p)(t) rows, which hash in C, but a Fraction hashes in Python at
+    about the cost of formatting it, so Q rows are keyed by identity,
+    valid while every matrix of the output is alive.
     """
-    done = {}
+    if done is None:
+        done = {}
     out = []
-    for r in rows:
-        key = id(r)
-        if key not in done:
-            done[key] = fn(r)
-        out.append(done[key])
+    for r, key in zip(rows, rows if by_value else map(id, rows)):
+        value = done.get(key)
+        if value is None:
+            value = done[key] = fn(r)
+        out.append(value)
     return out
 
 
@@ -440,9 +454,16 @@ def block_permutation_matrix(field, perm, s):
                         {(src, b): ident for b, src in enumerate(perm)})
 
 
-def matrix_to_text(m):
+def _encoded_rows(m, encode, seen):
+    """encode of each row of m, once per distinct row of table seen."""
+    return _once_per_row(encode, m._rows, seen,
+                         not isinstance(m.field, RationalField))
+
+
+def matrix_to_text(m, seen=None):
+    """The text format; seen is a row table shared by one text output."""
     fmt = m.field._format
-    lines = _once_per_row(lambda r: " ".join(map(fmt, r)), m._rows)
+    lines = _encoded_rows(m, lambda r: " ".join(map(fmt, r)), seen)
     return "\n".join([f"{m.rows} {m.cols} {m.field.name}", *lines])
 
 
@@ -479,6 +500,24 @@ def matrix_to_json_obj(m):
         entries = _once_per_row(lambda r: list(map(fmt, r)), m._rows)
     return {"rows": m.rows, "cols": m.cols, "field": m.field.name,
             "entries": entries}
+
+
+def matrix_to_json(m, seen=None):
+    """json.dumps(matrix_to_json_obj(m)); seen is shared by one JSON output.
+
+    A list of ints has the same repr as JSON text, and other entries are
+    strings quoted as json.dumps quotes them by default.
+    """
+    fmt, quote = m.field._format, encode_basestring_ascii
+    if isinstance(m.field, PrimeField):
+        def encode(r):
+            return repr(list(r))
+    else:
+        def encode(r):
+            return f"[{', '.join(map(quote, map(fmt, r)))}]"
+    entries = ", ".join(_encoded_rows(m, encode, seen))
+    return (f'{{"rows": {m.rows}, "cols": {m.cols}, "field": '
+            f'{quote(m.field.name)}, "entries": [{entries}]}}')
 
 
 def matrix_from_json_obj(obj):

@@ -10,14 +10,20 @@ import pytest
 
 import centra.cli
 from centra import (
+    QQ,
     Matrix,
     Poly,
     SIZE_CAP,
+    commutant_basis,
+    field_from_name,
+    jordan_centralizer_basis,
     jordan_form,
     make_spec,
     matrix_from_json_obj,
+    matrix_to_json_obj,
     matrix_to_text,
     prime_field,
+    rational_function_field,
     sample_element,
     weyr_centralizer_basis,
     weyr_form,
@@ -104,6 +110,48 @@ def test_centralizer_weyr_json(capsys):
     for obj in data["basis"]:
         b = matrix_from_json_obj(obj)
         assert b * w == w * b
+
+
+@pytest.mark.parametrize("form", ["jordan", "weyr"])
+@pytest.mark.parametrize("kind", ["e", "first"])
+@pytest.mark.parametrize("field,poly", [
+    ("gf:3", "x^2+1"), ("q", "x^2+1"), ("gft:2", "x^2+x+t")])
+def test_centralizer_json_bytes(capsys, field, poly, kind, form):
+    """The spliced JSON is json.dumps of the object of matrix objects."""
+    spec = make_spec(Poly.parse(poly, field_from_name(field)), (2, 1),
+                     kind=kind, assume_irreducible=True)
+    build = (jordan_centralizer_basis if form == "jordan"
+             else weyr_centralizer_basis)
+    basis = build(spec)
+    expected = json.dumps({
+        "dim": basis.dim,
+        "layout": [list(s) for s in basis.layout],
+        "generator": matrix_to_json_obj(basis.generator),
+        "basis": [matrix_to_json_obj(b) for b in basis.elements],
+    })
+    rc, out, _ = _run(capsys, ["centralizer", "--field", field, "--poly",
+                               poly, "--alpha", "2,1", "--kind", kind,
+                               "--form", form, "--assume-irreducible",
+                               "--format", "json"])
+    assert rc == 0
+    assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("field,rows", [
+    (QQ, [[1, "-1/2", 3], ["2/3", 0, -1], [5, "1/7", 2]]),
+    (rational_function_field(2), [["t", "1/(t+1)"], [1, "t^2/(t^2+t+1)"]]),
+], ids=["q", "gft"])
+def test_oracle_json_bytes(tmp_path, capsys, field, rows):
+    m = Matrix(field, rows)
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_to_text(m) + "\n")
+    basis = commutant_basis(m)
+    expected = json.dumps({"dim": len(basis),
+                           "basis": [matrix_to_json_obj(b) for b in basis]})
+    rc, out, _ = _run(capsys, ["oracle", "--input", str(path), "--format",
+                               "json"])
+    assert rc == 0
+    assert out == expected + "\n"
 
 
 def test_det_subcommand(tmp_path, capsys):
@@ -217,6 +265,15 @@ def test_rational_past_print_digit_limit_exit_two(capsys, fmt):
     assert f"{sys.get_int_max_str_digits()}-digit limit" in err
 
 
+def test_oracle_unprintable_entry_prints_nothing(tmp_path, capsys):
+    """A basis entry too long to print fails before any stdout is written."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 2 q\n1 1e5000\n0 2\n")
+    rc, out, err = _run(capsys, ["oracle", "--input", str(path)])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+
+
 _LONG = "1" * 5000
 
 
@@ -267,6 +324,9 @@ def test_long_token_error_is_short(capsys, argv):
     b"1 1 q\n1e-99999999999999\n",
     pytest.param(_LONG.encode() + b" 1 gf:3\n1\n", id="long-header"),
     pytest.param(f"1 1 gf:3\n{_TOKEN}\n".encode(), id="long-entry"),
+    pytest.param(b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": [['
+                 + _LONG.encode() + b"1]]}", id="long-json-entry"),
+    pytest.param(b'{"entries": ' + b"[" * 100000, id="deep-json"),
 ])
 def test_bad_input_file_exit_two(tmp_path, capsys, data):
     path = tmp_path / "m.json"
@@ -393,3 +453,14 @@ def test_parser_is_built_once_and_not_at_import():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.split() == ["0", "True"]
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The package's records are NamedTuples: no dataclasses, no inspect."""
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+    code = f"import sys, centra.cli; print(set({heavy}) & set(sys.modules))"
+    src = str(Path(centra.cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "set()\n"

@@ -12,6 +12,7 @@ import contextlib
 import functools
 import io
 import itertools
+import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,9 @@ from centra import (  # noqa: E402
     make_spec,
     matrix_from_json_obj,
     matrix_from_text,
+    matrix_to_json,
+    matrix_to_json_obj,
+    matrix_to_text,
     prime_field,
     rational_function_field,
     sample_element,
@@ -125,6 +129,50 @@ def test_rational_function_arithmetic(drawn):
         assert den and den[-1] == 1 and (not num or num[-1])
         assert _gcd_degree(num, den, p) == 0
         assert field.scalar(str(x)) == x
+
+
+# (field, payload strategy): small and large primes, Q with negative and
+# fractional entries, and GF(2)(t) with rational entries.
+_ENCODE_FIELDS = [
+    (prime_field(2), st.integers(0, 1)),
+    (prime_field(3), st.integers(0, 2)),
+    (prime_field(4294967291), st.integers(0, 4294967290)),
+    (QQ, st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+    (rational_function_field(2), _ratfuncs(2).map(lambda x: x.value)),
+]
+
+
+@st.composite
+def _matrix_families(draw):
+    """Matrices of one field and shape, drawing rows from a shared pool.
+
+    The pool holds row objects and equal copies of them, so the matrices
+    share rows both by identity and by value only.
+    """
+    field, payloads = draw(st.sampled_from(_ENCODE_FIELDS))
+    nrows, ncols = (size or draw(st.integers(2, 4)) for size in draw(
+        st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)])))
+    rows = draw(st.lists(st.lists(payloads, min_size=ncols, max_size=ncols)
+                         .map(tuple), min_size=1, max_size=3))
+    pool = rows + [tuple(list(r)) for r in rows]
+    picks = st.lists(st.sampled_from(pool), min_size=nrows, max_size=nrows)
+    return [Matrix._from_payloads(field, r)
+            for r in draw(st.lists(picks, min_size=1, max_size=4))]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_matrix_families())
+def test_row_table_encoders(mats):
+    """matrix_to_json is json.dumps of the object; a shared table changes
+    no output and holds each distinct row once."""
+    for m in mats:
+        assert matrix_to_json(m) == json.dumps(matrix_to_json_obj(m))
+    rows = [r for m in mats for r in m._rows]
+    distinct = len(set(map(id, rows)) if mats[0].field is QQ else set(rows))
+    for encode in (matrix_to_text, matrix_to_json):
+        seen = {}
+        assert [encode(m, seen) for m in mats] == list(map(encode, mats))
+        assert len(seen) == distinct
 
 
 @functools.cache
