@@ -34,7 +34,6 @@ cross-check in weyr_centralizer_basis compares independent readings.
 """
 
 import random
-from itertools import chain
 from typing import NamedTuple
 
 from .canonical import (
@@ -57,7 +56,6 @@ from .errors import (
 from .commutant import commutes
 from .matrices import (
     Matrix,
-    _vector_store,
     block_below_diagonal,
     conjugate_by_block_permutation,
     place_blocks,
@@ -357,13 +355,16 @@ def sample_element(basis, coeffs=None, seed=None):
         if len(coeffs) != basis.dim:
             raise LengthMismatchError(
                 f"{len(coeffs)} coefficients for dimension {basis.dim}")
+    # Sum c * E over the nonzero entries of each E; a cell's first term
+    # is written over the zero payload, as in the matrix product.
     n = basis.generator.rows
-    # One combine over the row-major flattened elements, then n rows.
-    store = _vector_store(field, basis.dim)
-    picked = [(c.value, b) for c, b in zip(coeffs, basis.elements) if c]
-    vecs = [store.vector(tuple(chain.from_iterable(b._rows)))
-            for _, b in picked]
-    flat = store.payloads(store.combine([c for c, _ in picked], vecs, n * n),
-                          n * n)
-    return Matrix._from_payloads(field, [flat[i:i + n]
-                                         for i in range(0, n * n, n)])
+    zero, add, mul = field._zero_payload, field._add, field._mul
+    acc = [[zero] * n for _ in range(n)]
+    for c, b in zip(coeffs, basis.elements):
+        if c:
+            c = c.value
+            for row, pairs in zip(acc, b._nonzeros()):
+                for j, v in pairs:
+                    s = row[j]
+                    row[j] = mul(c, v) if s is zero else add(s, mul(c, v))
+    return Matrix._from_payloads(field, acc)

@@ -23,6 +23,7 @@ from .errors import (
     CentraError,
     IrreducibilityUnsupportedError,
     ParseError,
+    TooLargeError,
 )
 from .matrices import (
     matrix_from_json_obj,
@@ -172,6 +173,9 @@ def _cmd_det(task):
 def _cmd_verify(task):
     if task.samples < 0:
         raise ParseError(f"--samples must be >= 0, got {task.samples}")
+    if task.samples > SIZE_CAP:
+        raise TooLargeError(
+            f"--samples = {task.samples} exceeds the size cap {SIZE_CAP}")
     spec = _canonical_spec(task)
     results = run_invariant_suite(spec, seed=task.seed, samples=task.samples,
                                   max_n=task.max_n)

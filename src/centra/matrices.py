@@ -6,9 +6,11 @@ Fractions for Q and, for GF(p)(t), (num, den) pairs of residue-int tuples
 construction.  Sums and scalar multiples run whole rows through Field's
 row_add, row_sub and row_scale; the product, the package's one product
 kernel, runs on the (column, payload) lists of nonzero entries that
-_nonzeros caches and no other module reads.  All skip zero entries and
-return canonical payloads, so no entry is boxed on the way.  Scalars
-appear only at the boundary: indexing, row(), flat(), column_values(),
+_nonzeros caches.  All three skip zero entries and return canonical
+payloads, so no entry is boxed on the way.  Outside this module only
+centralizers.sample_element (its sum of c * E) and verify._stacked_rank
+(its support columns) read those lists.  Scalars appear only at the
+boundary: indexing, row(), flat(), column_values(),
 determinant() and parsing or formatting.  Code in this package that
 already holds payload rows uses the unchecked Matrix._from_payloads.
 
@@ -37,9 +39,8 @@ classes are in rows.py), and only the store differs by field:
   update is integer arithmetic plus one gcd, and no Fraction is built
   until a pivot or a kernel entry leaves the store.
 - GF(p)(t) keeps lists of field payloads.
-Vector work outside elimination (commutant's recurrences, the linear
-combination in centralizers.sample_element) runs through the combine of
-a store of the same kind (_vector_store).
+Vector work outside elimination (commutant's recurrences) runs through
+the combine of a store of the same kind (_vector_store).
 Pivoting takes the first row whose leading entry lies in the current
 column, which is deterministic and needs no magnitude concerns in exact
 arithmetic.

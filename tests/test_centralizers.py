@@ -1,5 +1,6 @@
 """Centralizer bases: single companion, single block, full forms, utilities."""
 
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from centra import (
     companion_matrix,
     corner_matrix,
     direct_sum_dimension,
+    field_from_name,
     from_last_row,
     is_automorphism,
     jordan_block,
@@ -31,6 +33,7 @@ from centra import (
     jordan_form,
     last_row_toeplitz,
     make_spec,
+    matrix_to_text,
     prime_field,
     rational_function_field,
     sample_element,
@@ -534,6 +537,77 @@ def test_sample_element_dimension_one():
     for c in (0, 1, 2):
         k = sample_element(basis, coeffs=[c])
         assert k == Matrix(F3, [[c]]) == _reference_sample(basis, [c])
+
+
+# sha256 of the texts of sample_element(basis, seed=i), i = 0..4, joined
+# by newlines, per (field, poly, alpha, kind, basis).  Recorded before
+# sampling moved to the nonzero entries; a seeded sample never changes.
+_SAMPLE_DIGESTS = {
+    ("gf:2", "x^2+x+1", (2, 1), "e", "jordan"):
+        "c26a1663a783dddf1d38f4f89dd05130f2ea5fe43a46915b2cd6578bb1c91310",
+    ("gf:2", "x^2+x+1", (2, 1), "e", "weyr"):
+        "35f49f7fbadec97fcc1aa547c1654c7de0c6094d3479cffffebff3647011bc64",
+    ("gf:2", "x^2+x+1", (2, 1), "first", "jordan"):
+        "1fe675f1c2ca0230dcb595e470758971184699cbc281bfb1b4985b8d09e734c2",
+    ("gf:2", "x^2+x+1", (2, 1), "first", "weyr"):
+        "9ed70a7584100e910aa63c5fcae99aa69eb83079950fa9c3adbb1b29fc52b3c5",
+    ("gf:3", "x^2+1", (3, 1, 1), "e", "jordan"):
+        "788fa209917b791e11dc8111961a90dc75452d9e8b2744b27439b9716f3c82e0",
+    ("gf:3", "x^2+1", (3, 1, 1), "e", "weyr"):
+        "dbc23a6151f88929b839766df6ba10068acbf13ddf2aa8d86989c2cf9d3e7128",
+    ("gf:3", "x^2+1", (3, 1, 1), "first", "jordan"):
+        "5daa31920957764c02dfb45d900b398458c13921ab60893353ff4f98a34b91da",
+    ("gf:3", "x^2+1", (3, 1, 1), "first", "weyr"):
+        "7a929376954d8c4c504bbef7bd1ad1275cec9f2c85dbc12133eef82c07701b5c",
+    ("gf:5", "x^2+2", (2, 2, 1), "e", "jordan"):
+        "bc40adf2a7227401695e5e75e87ab33c6b04cd3960138f6309de7bd2a1b7b03c",
+    ("gf:5", "x^2+2", (2, 2, 1), "e", "weyr"):
+        "c48596ec8a707273d3b65d74d5d71086a81a9883f43ac495e774db93036c844c",
+    ("gf:5", "x^2+2", (2, 2, 1), "first", "jordan"):
+        "e9e57778379782956ee1ea8d88e2837ee5ccda3f331bc05c86c650e3a48c09cd",
+    ("gf:5", "x^2+2", (2, 2, 1), "first", "weyr"):
+        "5ff08545f9c678a5dc25250ecdf9f1a4977ac5c11c5ee3b4f12db750902e2d9c",
+    ("gf:4294967291", "x^2+1", (3, 2, 1), "e", "jordan"):
+        "df8f9b9b1ac298a3c03028042e4843a9ff242a7c48a77616fc47f4ba8774f3ed",
+    ("gf:4294967291", "x^2+1", (3, 2, 1), "e", "weyr"):
+        "5d1ff3d7ec96a8759ea0759eb441429b02b3f9d981d127062c169c91a6465ac2",
+    ("gf:4294967291", "x^2+1", (3, 2, 1), "first", "jordan"):
+        "a6cf3ecca1495f65b17c70738fe077614d407fe0bb51eae521b752a3c7ba2fc7",
+    ("gf:4294967291", "x^2+1", (3, 2, 1), "first", "weyr"):
+        "0797fa0849c0a5f54fa13bfc98328afb5643ae30cdd9c353d6289e42663dbe93",
+    ("q", "x^2+1", (2, 1), "e", "jordan"):
+        "762b36e9e5fae6edf0edcc878c02313be2987a5b7477750b89d3e0275009798e",
+    ("q", "x^2+1", (2, 1), "e", "weyr"):
+        "98178f09e20cde44e5ce4443b707b9c854b66845b5209c585ef62ed9a02c215b",
+    ("q", "x^2+1", (2, 1), "first", "jordan"):
+        "5945e84d7402049f83fad3c9ea45ab05ae19ed99e4790ebeba6fba9b6f9711c6",
+    ("q", "x^2+1", (2, 1), "first", "weyr"):
+        "ac4d70c193e21cad188bd9b017ae9b4b1067002df5f39cd79592c4f5ba11d566",
+    ("gft:2", "x^2+x+t", (2, 1), "e", "jordan"):
+        "8435ce410bb9fbd55345b994ce48a11aacd878b55785829e0595ed9090d85920",
+    ("gft:2", "x^2+x+t", (2, 1), "e", "weyr"):
+        "ac71525274796f2854e2221d7563122ad6299bea2af88bde412caa081fdf9c1a",
+    ("gft:2", "x^2+x+t", (2, 1), "first", "jordan"):
+        "90e35a96223a95ff9b9b1fa6db21da037d9b7d799f8e532c4223d62b4799bb21",
+    ("gft:2", "x^2+x+t", (2, 1), "first", "weyr"):
+        "e4b88bdf26c50cc7de4cf9f3fc5f59a8939501b9e0508afa8965c4d8fb83e153",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLE_DIGESTS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_seeded_samples_are_pinned(case):
+    name, poly, alpha, kind, which = case
+    field = field_from_name(name)
+    spec = make_spec(Poly.parse(poly, field), alpha, kind,
+                     assume_irreducible=True)
+    build = {"jordan": jordan_centralizer_basis,
+             "weyr": weyr_centralizer_basis}[which]
+    basis = build(spec)
+    texts = "\n".join(matrix_to_text(sample_element(basis, seed=i))
+                      for i in range(5))
+    assert hashlib.sha256(texts.encode()).hexdigest() == \
+        _SAMPLE_DIGESTS[case]
 
 
 def test_first_kind_basis_no_tilde_terms():

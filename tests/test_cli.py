@@ -393,6 +393,20 @@ def test_negative_samples_exit_two(capsys):
     assert "--samples" in err
 
 
+def test_samples_past_size_cap_exit_two(capsys):
+    """A sample count above the size cap is refused before any sampling."""
+    argv = ["verify", "--field", "gf:2", "--poly", "x+1", "--alpha", "1"]
+    rc, out, err = _run(capsys, argv + ["--samples", "100000000"])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert len(err.encode()) < centra.cli.ERROR_LINE_BYTES
+    assert "--samples" in err and f"size cap {SIZE_CAP}" in err
+    for extra in (["--samples", "0"], []):
+        rc, out, err = _run(capsys, argv + extra)
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1].startswith("result: pass")
+
+
 @pytest.mark.parametrize("text", ["3 1 gf:3\n1\n1\n2\n",
                                   "1 3 gf:3\n1 1 2\n"],
                          ids=["tall", "wide"])

@@ -60,6 +60,11 @@ from centra import (  # noqa: E402
     weyr_permutation,
 )
 from centra.cli import main  # noqa: E402
+from centra.verify import _stacked_rank  # noqa: E402
+from test_centralizers import (  # noqa: E402
+    _reference_sample,
+    _stacked_rank as _dense_stacked_rank,
+)
 from test_elimination import _check  # noqa: E402
 from test_matrices import _scalar_product  # noqa: E402
 from test_oracle import _check_against_reference  # noqa: E402
@@ -188,11 +193,17 @@ def _specs(draw):
     """GF(q) for q <= 7, irreducible p of degree <= 3, r <= 5, either kind."""
     q = draw(st.sampled_from([2, 3, 5, 7]))
     p = draw(st.sampled_from(_irreducibles(q, draw(st.integers(1, 3)))))
-    rest, alpha = draw(st.integers(1, 5)), []
+    return make_spec(p, _partition(draw, 5),
+                     draw(st.sampled_from([E_KIND, FIRST_KIND])))
+
+
+def _partition(draw, most):
+    """A drawn partition of a drawn r <= most, parts in descending order."""
+    rest, alpha = draw(st.integers(1, most)), []
     while rest:
         alpha.append(draw(st.integers(1, min([rest] + alpha[-1:]))))
         rest -= alpha[-1]
-    return make_spec(p, alpha, draw(st.sampled_from([E_KIND, FIRST_KIND])))
+    return alpha
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -330,6 +341,74 @@ def test_level_block_determinant_equals_determinant(spec, seed):
         k = sample_element(basis, seed=seed + i)
         assert commutes(w, k)
         assert weyr_determinant(k, spec) == k.determinant()
+
+
+# (field, irreducible polys of degree 1 and 2, coefficients): GF(p) for
+# small and large p, Q with fractional and GF(2)(t) with rational values.
+_SAMPLE_FIELDS = [
+    (prime_field(2), ["x+1", "x^2+x+1"], st.integers(0, 1)),
+    (prime_field(5), ["x+2", "x^2+2"], st.integers(0, 4)),
+    (prime_field(4294967291), ["x+3", "x^2+1"], st.integers(0, 4294967290)),
+    (QQ, ["x+1", "x^2+1"],
+     st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+    (rational_function_field(2), ["x+t", "x^2+x+t"], _ratfuncs(2)),
+]
+
+
+@st.composite
+def _sample_inputs(draw):
+    """A basis of either route and kind, and coefficients, zeros included."""
+    field, polys, entries = draw(st.sampled_from(_SAMPLE_FIELDS))
+    p = Poly.parse(draw(st.sampled_from(polys)), field)
+    spec = make_spec(p, _partition(draw, 4),
+                     draw(st.sampled_from([E_KIND, FIRST_KIND])),
+                     assume_irreducible=True)
+    build = draw(st.sampled_from([jordan_centralizer_basis,
+                                  weyr_centralizer_basis]))
+    basis = build(spec)
+    dim = basis.dim
+    coeffs = draw(st.one_of(
+        st.just([0] * dim),
+        st.lists(st.one_of(st.just(0), entries), min_size=dim,
+                 max_size=dim)))
+    return basis, coeffs
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_sample_inputs())
+def test_sample_element_equals_dense_sum(drawn):
+    """sample_element(basis, coeffs) is sum c * E by Matrix * and +."""
+    basis, coeffs = drawn
+    assert sample_element(basis, coeffs) == _reference_sample(basis, coeffs)
+
+
+@st.composite
+def _sparse_stacks(draw):
+    """1-6 square matrices with at most n nonzero entries each, drawn from
+    a pool that holds the zero matrix, so stacks repeat matrices."""
+    field, payloads = draw(st.sampled_from(_ENCODE_FIELDS))
+    n = draw(st.integers(1, 4))
+    zero = field._zero_payload
+
+    def sparse():
+        rows = [[zero] * n for _ in range(n)]
+        for k, v in draw(st.lists(st.tuples(st.integers(0, n * n - 1),
+                                            payloads), max_size=n)):
+            rows[k // n][k % n] = v
+        return Matrix._from_payloads(field, rows)
+
+    pool = [Matrix.zeros(field, n, n)]
+    pool += [sparse() for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_sparse_stacks())
+def test_support_column_rank_equals_dense_rank(mats):
+    """verify's rank on support columns equals the rank of the stacked
+    full n^2-entry vectorizations."""
+    assert _stacked_rank(mats[0].field, mats) == \
+        _dense_stacked_rank(mats[0].field, mats)
 
 
 # -- fuzzing: bad text ends in a CentraError, and the CLI in exit 0, 1 or 2
