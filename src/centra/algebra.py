@@ -30,6 +30,7 @@ field-dependent: ``3``, ``2/7``, ``(t^2+1)/(t+1)``.
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .errors import (
@@ -168,17 +169,19 @@ class Scalar:
 class Field:
     """Common behaviour of the three supported fields.
 
-    Subclasses define the payload representation and the _-prefixed
-    payload arithmetic; user code works with Scalars.  The three row
-    kernels, row_add, row_sub and row_scale, run that arithmetic over
-    whole payload rows for Matrix sums, scalar multiples and elimination
-    updates, and the poly_* kernels over ascending payload tuples with no
-    trailing zero for Poly and the GF(p)(t) payloads.  Both skip zero
-    terms, which are costly in Q and GF(p)(t), by comparing with
-    _zero_payload: a GF(p)(t) payload is a tuple and always truthy.  No
-    subclass overrides them, so each kernel has one definition; its
-    results are canonical because each payload operation returns
-    canonical payloads (GF(p) reduces every sum and product mod p).
+    Subclasses define the payload representation and its arithmetic:
+    _from_int, _add, _neg, _mul, _inv, _parse, _format and _random.  _sub
+    (_add of _neg) and _div (_mul by _inv, which refuses 0) are derived
+    here, and a subclass may override either for speed.  User code works
+    with Scalars.  The three row kernels, row_add, row_sub and row_scale,
+    run that arithmetic over whole payload rows for Matrix sums, scalar
+    multiples and elimination updates, and the poly_* kernels over ascending
+    payload tuples with no trailing zero for Poly and the GF(p)(t) payloads.
+    Both skip zero terms, which are costly in Q and GF(p)(t), by comparing
+    with _zero_payload: a GF(p)(t) payload is a tuple and always truthy.  No
+    subclass overrides them, so each kernel has one definition; its results
+    are canonical because each payload operation returns canonical payloads
+    (GF(p) reduces every sum and product mod p).
 
     row_store() makes the working rows of one elimination for the single
     routine in matrices: payload lists (rows.PayloadRows) here, used by
@@ -221,6 +224,12 @@ class Field:
     def random(self, rng):
         """Deterministic sample driven by the given random.Random."""
         return Scalar(self, self._random(rng))
+
+    def _sub(self, a, b):
+        return self._add(a, self._neg(b))
+
+    def _div(self, a, b):
+        return self._mul(a, self._inv(b))
 
     def row_add(self, ra, rb):
         add, zero = self._add, self._zero_payload
@@ -319,9 +328,6 @@ class Field:
     def __eq__(self, other):
         return isinstance(other, Field) and other.name == self.name
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self.name)
 
@@ -377,9 +383,6 @@ class PrimeField(Field):
             raise DivisionByZeroError(f"inverse of 0 in {self.name}")
         return pow(a, self.p - 2, self.p)
 
-    def _div(self, a, b):
-        return (a * self._inv(b)) % self.p
-
     def _parse(self, text):
         try:
             return int(text, 10) % self.p
@@ -429,11 +432,6 @@ class RationalField(Field):
         if a == 0:
             raise DivisionByZeroError("inverse of 0 in q")
         return 1 / a
-
-    def _div(self, a, b):
-        if b == 0:
-            raise DivisionByZeroError("division by 0 in q")
-        return a / b
 
     def _parse(self, text):
         # Fraction builds 10**exponent in full, so a literal with a huge
@@ -511,9 +509,6 @@ class RationalFunctionField(Field):
                                           base.poly_mul(n2, d1)),
                             base.poly_mul(d1, d2))
 
-    def _sub(self, a, b):
-        return self._add(a, self._neg(b))
-
     def _mul(self, a, b):
         mul = self.base.poly_mul
         return self._reduce(mul(a[0], b[0]), mul(a[1], b[1]))
@@ -525,11 +520,6 @@ class RationalFunctionField(Field):
         if not a[0]:
             raise DivisionByZeroError(f"inverse of 0 in {self.name}")
         return self._reduce(a[1], a[0])
-
-    def _div(self, a, b):
-        if not b[0]:
-            raise DivisionByZeroError(f"division by 0 in {self.name}")
-        return self._mul(a, self._inv(b))
 
     def _parse(self, text):
         text = "".join(text.split())
@@ -559,21 +549,9 @@ class RationalFunctionField(Field):
         return self._reduce(self.base._strip(num), den)
 
 
-_PRIME_FIELDS = {}
-_RATFUNC_FIELDS = {}
 QQ = RationalField()
-
-
-def prime_field(p):
-    if p not in _PRIME_FIELDS:
-        _PRIME_FIELDS[p] = PrimeField(p)
-    return _PRIME_FIELDS[p]
-
-
-def rational_function_field(p):
-    if p not in _RATFUNC_FIELDS:
-        _RATFUNC_FIELDS[p] = RationalFunctionField(p)
-    return _RATFUNC_FIELDS[p]
+prime_field = cache(PrimeField)
+rational_function_field = cache(RationalFunctionField)
 
 
 def field_from_name(text):

@@ -17,9 +17,10 @@ elements live on block "slots":
     shorter.
   * the same parameters transported to the Weyr ordering place Z at every
     position of the level grid whose slot index matches; a second,
-    permutation-free placement routine reads those positions directly
-    off SegreData.levels (chain c of level k is block levels[k-1]+c-1)
-    and must agree entry for entry.
+    permutation-free placement routine computes those positions by
+    formula from SegreData.levels (slot t of cell (i, j) at level pairs
+    (k1, k1 + t - 1 + max(0, alpha_j - alpha_i)), chain c of level k at
+    block levels[k-1]+c-1) and must agree entry for entry.
 
 One scalar parameter therefore means one (cell, slot, power-of-C) triple;
 bases are emitted in lexicographic order of those labels, 1-based, which
@@ -29,8 +30,8 @@ Both placement routes run one scaffold, _placed_basis: the label loop,
 the powers of C and their tildes, place_blocks and the layout.  A route
 gives only its cell map, the block positions of one (cell, slot) and
 which take the tilde: from chain starts and in-cell offsets, or from
-the level grid and level-pair slots.  The maps share no code, so the
-cross-check in weyr_centralizer_basis compares independent readings.
+the level grid and the level-pair formula.  The maps share no code, so
+the cross-check in weyr_centralizer_basis compares independent readings.
 """
 
 import random
@@ -234,27 +235,17 @@ def jordan_centralizer_basis(spec):
     return _placed_basis(spec, jordan_form(spec), cell)
 
 
-def _weyr_slot(alpha_i, alpha_j, k1, k2):
-    """Slot index visible at level pair (k1, k2) of cell (i, j)."""
-    if alpha_i >= alpha_j:
-        return k2 - k1 + 1
-    return (k2 - k1) - (alpha_j - alpha_i) + 1
-
-
 def weyr_centralizer_basis_direct(spec):
     """Level-grid placement of the same parameters, no permutation used."""
     alpha, levels = spec.segre.alpha, spec.segre.levels
 
     def cell(ci, cj, k):
         ai, aj = alpha[ci - 1], alpha[cj - 1]
-        blocks = {}
-        for k1 in range(1, ai + 1):
-            for k2 in range(1, aj + 1):
-                slot = _weyr_slot(ai, aj, k1, k2)
-                if slot in (k, k + 1):
-                    blocks[(levels[k1 - 1] + ci - 1,
-                            levels[k2 - 1] + cj - 1)] = slot != k
-        return blocks
+        lag = max(0, aj - ai)
+        return {(levels[k1 - 1] + ci - 1,
+                 levels[k1 + t + lag - 2] + cj - 1): t != k
+                for t in (k, k + 1)
+                for k1 in range(1, min(ai, aj) - t + 2)}
 
     return _placed_basis(spec, weyr_form(spec), cell)
 
@@ -263,12 +254,12 @@ def weyr_centralizer_basis(spec):
     """The directly placed Weyr basis, cross-checked by conjugation.
 
     Conjugating the block-diagonal basis by weyr_permutation must give
-    the directly placed elements exactly; a mismatch means the two
-    readings of the level-grid structure drifted apart, so it is raised
-    rather than trusted.  The check runs on every call because the traced
-    benchmark expects both routes (matrices.conjugate and
-    centralizers.weyr_basis_direct) on export; it moves into verify with
-    the next change to the benchmark.
+    the directly placed elements exactly, so a returned basis is the
+    conjugated one; a mismatch means the two readings of the level-grid
+    structure drifted apart and raises FormulaMismatchError.  The check
+    runs on every call because the traced benchmark expects both routes
+    (matrices.conjugate and centralizers.weyr_basis_direct) on export; it
+    moves into verify with the next change to the benchmark.
     """
     order = weyr_permutation(spec)
     conjugated = tuple(conjugate_by_block_permutation(b, order, spec.s)

@@ -14,6 +14,14 @@ of a dense one, and the comparison is exact equality.  For the same
 reason the rank checks run on support columns: a stacked vectorization
 keeps only the entries i*n + j where some stacked element is nonzero,
 as a column that is zero throughout adds nothing to the rank.
+
+The Weyr span check needs the ranks of the direct basis, of the
+conjugated Jordan basis and of their union, which takes only the
+conjugated elements that differ, to equal both lengths.  Conjugation
+permutes coordinates, so the conjugated rank is the Jordan rank; a basis
+that weyr_centralizer_basis returns is that conjugated stack, so all
+three are the Jordan rank, and only a FormulaMismatchError makes the
+suite rank the other two.
 """
 
 from .canonical import (
@@ -35,7 +43,7 @@ from .centralizers import (
     weyr_layout,
 )
 from .commutant import DEFAULT_MAX_N, commutant_dimension, commutes
-from .errors import CentraError, TooLargeError
+from .errors import FormulaMismatchError, TooLargeError
 from .matrices import (
     Matrix,
     block_below_diagonal,
@@ -116,14 +124,14 @@ def run_invariant_suite(spec, seed=0, samples=5, max_n=DEFAULT_MAX_N):
     check("jordan_basis_commutes",
           all(commutes(g, b) for b in zg.elements),
           "every basis element commutes with the form")
-    check("jordan_basis_independent",
-          _stacked_rank(field, zg.elements) == zg.dim,
+    jordan_rank = _stacked_rank(field, zg.elements)
+    check("jordan_basis_independent", jordan_rank == zg.dim,
           "stacked vectorizations have full rank")
 
     try:
         zw = weyr_centralizer_basis(spec)
         paths_agree = True
-    except CentraError:
+    except FormulaMismatchError:
         zw = weyr_centralizer_basis_direct(spec)
         paths_agree = False
     check("weyr_paths_agree", paths_agree,
@@ -136,13 +144,14 @@ def run_invariant_suite(spec, seed=0, samples=5, max_n=DEFAULT_MAX_N):
           all(block_below_diagonal(b, cuts) is None
               for b in zw.elements),
           "basis elements are block upper triangular in level cuts")
-    # A conjugated element equal to its direct counterpart adds nothing to
-    # the span, so only the differing ones join the direct basis.
-    conj_elems = [conjugate_by_block_permutation(b, order, spec.s)
-                  for b in zg.elements]
-    stacked = _stacked_rank(field, list(zw.elements) + [
-        c for c, d in zip(conj_elems, zw.elements) if c != d])
-    check("weyr_span_equality", stacked == zw.dim == zg.dim,
+    ranks = {jordan_rank}
+    if not paths_agree:
+        conj_elems = [conjugate_by_block_permutation(b, order, spec.s)
+                      for b in zg.elements]
+        ranks.add(_stacked_rank(field, zw.elements))
+        ranks.add(_stacked_rank(field, list(zw.elements) + [
+            c for c, d in zip(conj_elems, zw.elements) if c != d]))
+    check("weyr_span_equality", ranks == {zw.dim} and zw.dim == zg.dim,
           "conjugated and direct bases span the same row space")
 
     try:

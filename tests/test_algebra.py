@@ -32,6 +32,7 @@ FIELDS = [
     prime_field(3),
     prime_field(5),
     prime_field(65521),
+    prime_field(4294967291),
     QQ,
     rational_function_field(2),
     rational_function_field(3),
@@ -55,9 +56,24 @@ def test_field_axioms(field):
         assert a + zero == a
         assert a * one == a
         assert a - a == zero
+        assert a - b == a + (-b)
         if b != zero:
             assert b * b.inverse() == one
             assert (a / b) * b == a
+            assert a / b == a * b.inverse()
+    for x in (field.random(rng), field.one):
+        with pytest.raises(DivisionByZeroError):
+            x / zero
+    with pytest.raises(DivisionByZeroError):
+        1 / zero
+
+
+def test_field_constructors_are_cached():
+    assert prime_field(7) is prime_field(7)
+    assert rational_function_field(3) is rational_function_field(3)
+    for _ in range(2):  # a refused size is refused again, not cached
+        with pytest.raises(ParseError):
+            prime_field(4)
 
 
 def test_scalar_examples():
