@@ -67,8 +67,26 @@ def _refuse_long_int(exc, what, cap=None):
         raise TooLargeError(f"{what} exceeds {limit}") from None
 
 
+def _power(base, e, mul, one):
+    """base**e for an int e >= 0 by square-and-multiply, low bit first.
+
+    Starts from base, not one, and skips the square after the top bit:
+    e.bit_length() - 1 squarings and popcount(e) - 1 other products.
+    """
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return one if result is None else result
+
+
 class Scalar:
-    """An element of one of the supported exact fields."""
+    """An element of one of the supported exact fields; each binary
+    operator runs through _apply, which coerces a Scalar or int operand by
+    Field.scalar (_coerce) and returns NotImplemented for any other."""
 
     __slots__ = ("field", "value")
 
@@ -77,54 +95,39 @@ class Scalar:
         self.value = value
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields {self.field.name} and {other.field.name}")
-            return other
-        if isinstance(other, int):
-            return Scalar(self.field, self.field._from_int(other))
+        if isinstance(other, (Scalar, int)):
+            return self.field.scalar(other)
         return None
 
-    def __add__(self, other):
+    def _apply(self, kernel, other, swap=False):
+        """kernel on the two payloads, other's first if swap."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.field, self.field._add(self.value, other.value))
+        a, b = (other, self) if swap else (self, other)
+        return Scalar(self.field, kernel(a.value, b.value))
+
+    def __add__(self, other):
+        return self._apply(self.field._add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._sub(self.value, other.value))
+        return self._apply(self.field._sub, other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._sub(other.value, self.value))
+        return self._apply(self.field._sub, other, swap=True)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._mul(self.value, other.value))
+        return self._apply(self.field._mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._div(self.value, other.value))
+        return self._apply(self.field._div, other)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._div(other.value, self.value))
+        return self._apply(self.field._div, other, swap=True)
 
     def __neg__(self):
         return Scalar(self.field, self.field._neg(self.value))
@@ -134,12 +137,8 @@ class Scalar:
             return NotImplemented
         field = self.field
         base = (self.inverse() if exponent < 0 else self).value
-        result = field._one_payload
-        for bit in bin(abs(exponent))[2:]:
-            result = field._mul(result, result)
-            if bit == "1":
-                result = field._mul(result, base)
-        return Scalar(field, result)
+        return Scalar(field, _power(base, abs(exponent), field._mul,
+                                    field._one_payload))
 
     def inverse(self):
         return Scalar(self.field, self.field._inv(self.value))
@@ -313,17 +312,11 @@ class Field:
             a, self._inv(lead))
 
     def poly_powmod(self, a, e, m):
-        """a**e reduced mod m, by binary exponentiation."""
+        """a**e reduced mod m, by _power; e = 0 gives the constant 1."""
         mul, divmod_ = self.poly_mul, self.poly_divmod
-        result = None
-        a = divmod_(a, m)[1]
-        while e:
-            if e & 1:
-                result = a if result is None else divmod_(mul(result, a), m)[1]
-            e >>= 1
-            if e:
-                a = divmod_(mul(a, a), m)[1]
-        return (self._one_payload,) if result is None else result
+        return _power(divmod_(a, m)[1], e,
+                      lambda x, y: divmod_(mul(x, y), m)[1],
+                      (self._one_payload,))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.name == self.name
@@ -822,9 +815,9 @@ def is_irreducible(p, assume_irreducible=False):
     coefficient tuple: p of degree n is irreducible iff x**(q**n) == x
     mod p and gcd(x**(q**(n/d)) - x, p) = 1 for every prime divisor d of n.
 
-    Over Q and GF(p)(t) no factorization is attempted.  A nontrivial
-    gcd(p, p') proves reducibility and returns False; otherwise the caller
-    must pass assume_irreducible=True to get True.
+    Over Q and GF(p)(t) no factorization is attempted.  p' != 0 with p
+    not separable proves reducibility and returns False; otherwise the
+    caller must pass assume_irreducible=True to get True.
     """
     if not p.is_monic():
         raise NotMonicError(f"not monic: {p!r}")
@@ -842,11 +835,8 @@ def is_irreducible(p, assume_irreducible=False):
         return frob[n] == x and all(
             len(field.poly_gcd(field.poly_sub(frob[n // d], x), f)) == 1
             for d in range(2, n + 1) if n % d == 0 and _is_prime(d))
-    d = p.derivative()
-    if not d.is_zero():
-        g = poly_gcd(p, d)
-        if 0 < g.degree < n:
-            return False
+    if not is_separable(p) and not p.derivative().is_zero():
+        return False
     if assume_irreducible:
         return True
     raise IrreducibilityUnsupportedError(

@@ -22,6 +22,7 @@ from being solved by accident; no other module knows or checks it.
 commutes is a * x == x * a: this module has no product kernel of its own.
 """
 
+from itertools import compress
 from operator import itemgetter
 
 from .errors import NotSquareError, ParseError, ShapeMismatchError, TooLargeError
@@ -181,8 +182,8 @@ def _canonical(field, rows):
     nonzero entry at f, and v_f is the vector that is e_f on the free
     columns: the rows of the reduced echelon form over the reversed
     columns.  _forward gives the echelon form; back substitution, last
-    pivot first, clears the later pivot columns of each row with one
-    combine.
+    pivot first, reads a row's pivot entries from its payloads and clears
+    the later pivot columns with one combine.
     """
     store = field.row_store([r[::-1] for r in rows])
     pivots, _, _ = _forward(store, field)
@@ -193,7 +194,7 @@ def _canonical(field, rows):
     done = []  # reduced rows of pivots[r + 1:], in that order
     for r in reversed(range(len(pivots))):
         e = store.row_vector(r)
-        later = store.entries(e, on_pivot)[r + 1:]
+        later = list(compress(store.payloads(e, ncols), on_pivot))[r + 1:]
         if later.count(zero) < len(later):
             coeffs, vecs = zip(*[(neg(c), v) for c, v in zip(later, done)
                                  if c != zero])

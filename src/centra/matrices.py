@@ -62,6 +62,7 @@ from .algebra import (
     PrimeField,
     RationalField,
     Scalar,
+    _power,
     _refuse_long_int,
     field_from_name,
 )
@@ -80,8 +81,7 @@ class Matrix:
 
     def __init__(self, field, rows):
         """Coerce every entry (Scalar, int, literal or payload) into field."""
-        data = [[e.value if isinstance(e, Scalar) and e.field is field
-                 else field.scalar(e).value for e in row] for row in rows]
+        data = [[field.scalar(e).value for e in row] for row in rows]
         if any(len(r) != len(data[0]) for r in data):
             raise ShapeMismatchError("ragged rows")
         self._init(field, data)
@@ -223,14 +223,8 @@ class Matrix:
             raise NotSquareError("matrix power of a nonsquare matrix")
         if e < 0:
             raise ShapeMismatchError("negative matrix power")
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, Matrix.__mul__,
+                      Matrix.identity(self.field, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -535,4 +529,6 @@ def matrix_from_json_obj(obj):
         raise ParseError("entries must be a list of lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("entry grid does not match rows/cols")
+    if any(type(e) is bool for r in entries for e in r):
+        raise ParseError("matrix entries must not be true or false")
     return Matrix(field, entries)

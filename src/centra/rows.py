@@ -3,14 +3,15 @@
 matrices._forward and matrices._kernel_vectors run every elimination
 through a store that Field.row_store makes: PackedRows, one int per row,
 for GF(p); RationalRows, primitive integer rows over one denominator, for
-Q; PayloadRows, lists of field payloads, for GF(p)(t).
+Q; PayloadRows, lists of field payloads, for GF(p)(t).  A vector leaves a
+store only whole, as the field payloads that payloads returns.
 """
 
 import sys
 from array import array
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -18,11 +19,12 @@ class PayloadRows:
     """Elimination rows as lists of field payloads; the store interface.
 
     rows[i] is row i and lead[i] the column of its first nonzero entry
-    (ncols for a zero row); every entry left of the lead is zero.  Vectors
+    (ncols for a zero row); every entry left of the lead is zero.  swap,
+    normalize and eliminate are the steps of matrices._forward.  Vectors
     of m entries are kept in whatever form the store chooses: unit and
-    vector make one, combine sums payload multiples of them, solve is the
-    kernel step combine(-(pivot row right of its lead), x), and payloads
-    reads one out as field payloads.
+    vector make one, row_vector reads row i as one, combine sums payload
+    multiples of them, solve is the kernel step combine(-(pivot row right
+    of its lead), x), and payloads reads one out as field payloads.
     """
 
     def __init__(self, field, rows):
@@ -100,10 +102,6 @@ class PayloadRows:
     def row_vector(self, i):
         """Row i, all ncols entries, as a vector."""
         return self.rows[i]
-
-    def entries(self, vec, selected):
-        """The payloads of vec at the columns where selected is true."""
-        return list(compress(vec, selected))
 
 
 _ZERO = Fraction(0)
@@ -203,11 +201,6 @@ class RationalRows:
 
     def row_vector(self, i):
         return self.rows[i], self.den[i]
-
-    def entries(self, vec, selected):
-        ints, den = vec
-        return [Fraction(v, den) if v else _ZERO
-                for v in compress(ints, selected)]
 
 
 @cache
@@ -369,6 +362,3 @@ class PackedRows:
     def row_vector(self, i):
         x = self.rows[i]
         return x if self.clean[i] else self._reduce(x, self.ncols)
-
-    def entries(self, vec, selected):
-        return list(compress(self.values(vec, 0, len(selected)), selected))

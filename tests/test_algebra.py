@@ -1,5 +1,6 @@
 """Field arithmetic, polynomial arithmetic, irreducibility, separability."""
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from centra import (
     Poly,
     QQ,
     SIZE_CAP,
+    Matrix,
     Scalar,
     TooLargeError,
     field_from_name,
@@ -26,6 +28,7 @@ from centra import (
     prime_field,
     rational_function_field,
 )
+from centra.algebra import _power
 
 FIELDS = [
     prime_field(2),
@@ -403,3 +406,108 @@ def test_scalar_pow():
     assert f7.zero ** 0 == f7.one
     q = QQ.scalar("2/3")
     assert q ** 5 == QQ.scalar("32/243") and q ** -2 == QQ.scalar("9/4")
+
+
+# Small exponents of every bit pattern up to 64, and one large seeded one.
+_EXPONENTS = [0, 1, 2, 3, 5, 8, 13, 64,
+              random.Random("power").randrange(300, 600)]
+
+
+def _copies(x, mul, one):
+    """{e: the product of e copies of x} for every e in _EXPONENTS."""
+    out, acc = {}, one
+    for e in range(max(_EXPONENTS) + 1):
+        if e in _EXPONENTS:
+            out[e] = acc
+        acc = mul(acc, x)
+    return out
+
+
+@pytest.mark.parametrize("field,literal", [
+    (prime_field(5), "3"), (prime_field(4294967291), "123456789"),
+    (QQ, "-2/3"), (rational_function_field(2), "1/(t+1)"),
+], ids=lambda x: getattr(x, "name", x))
+def test_scalar_power_equals_repeated_product(field, literal):
+    x = field.scalar(literal)
+    for e, want in _copies(x, operator.mul, field.one).items():
+        assert x ** e == want, e
+
+
+def test_pow_mod_equals_repeated_product():
+    f5 = prime_field(5)
+    modulus = Poly.parse("x^4+2*x+3", f5)
+    x = Poly.parse("3*x^3+x+4", f5)
+    for e, want in _copies(x, lambda a, b: (a * b) % modulus,
+                           Poly.one(f5)).items():
+        assert x.pow_mod(e, modulus) == want, e
+
+
+@pytest.mark.parametrize("field", [prime_field(3), QQ],
+                         ids=lambda f: f.name)
+def test_matrix_power_equals_repeated_product(field):
+    a = Matrix(field, [[1, 2, 0], [0, 1, -1], [1, 0, "1/2" if field is QQ
+                                                else 2]])
+    for e, want in _copies(a, operator.mul,
+                           Matrix.identity(field, 3)).items():
+        assert a ** e == want, e
+
+
+def test_power_product_count():
+    """bit_length - 1 squarings and one product fewer than the set bits."""
+    for e in _EXPONENTS + [7, 255, 256, 2 ** 70 + 1]:
+        calls = []
+
+        def mul(a, b):
+            calls.append(None)
+            return a * b % 1009
+
+        assert _power(3, e, mul, 1) == pow(3, e, 1009)
+        assert len(calls) == (max(0, e.bit_length() - 1)
+                              + max(0, bin(e).count("1") - 1)), e
+
+
+def test_matrix_power_takes_no_extra_square(monkeypatch):
+    """a ** 8 is three squarings: no identity product, no final square."""
+    calls = []
+    product = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return product(self, other)
+
+    a = Matrix(prime_field(3), [[1, 1], [0, 1]])
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    assert a ** 8 == Matrix(prime_field(3), [[1, 8], [0, 1]])
+    assert len(calls) == 3
+
+
+_OPERATORS = [(operator.add, "_add"), (operator.sub, "_sub"),
+              (operator.mul, "_mul"), (operator.truediv, "_div")]
+
+
+@pytest.mark.parametrize("field,literal", [
+    (prime_field(5), "2"), (prime_field(4294967291), "123456789"),
+    (QQ, "2/7"), (rational_function_field(2), "(t+1)/t"),
+], ids=lambda x: getattr(x, "name", x))
+@pytest.mark.parametrize("op,kernel", _OPERATORS,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_scalar_operator_protocol(field, literal, op, kernel):
+    """Each operator and its reflected form coerce an int, refuse other
+    types with TypeError and a Scalar of another field with
+    FieldMismatchError, on either side."""
+    s, k = field.scalar(literal), 3
+    kern, kv = getattr(field, kernel), field.scalar(k).value
+    for got, want in ((op(s, k), kern(s.value, kv)),
+                      (op(k, s), kern(kv, s.value))):
+        assert isinstance(got, Scalar) and got.field is field
+        assert got.value == want
+    for bad in ("3", 1.5):
+        with pytest.raises(TypeError):
+            op(s, bad)
+        with pytest.raises(TypeError):
+            op(bad, s)
+    other = prime_field(7).scalar(2)
+    with pytest.raises(FieldMismatchError):
+        op(s, other)
+    with pytest.raises(FieldMismatchError):
+        op(other, s)

@@ -313,6 +313,9 @@ def test_long_token_error_is_short(capsys, argv):
     assert len(err.encode()) < 200
 
 
+_BOOL_ENTRY = b'{"rows": 1, "cols": 1, "field": "gf:2", "entries": [[true]]}'
+
+
 @pytest.mark.parametrize("data", [
     b'{"rows": 2, "cols": ',
     b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": 5}',
@@ -327,11 +330,23 @@ def test_long_token_error_is_short(capsys, argv):
     pytest.param(b'{"rows": 1, "cols": 1, "field": "gf:3", "entries": [['
                  + _LONG.encode() + b"1]]}", id="long-json-entry"),
     pytest.param(b'{"entries": ' + b"[" * 100000, id="deep-json"),
+    pytest.param(_BOOL_ENTRY, id="bool-entry"),
 ])
 def test_bad_input_file_exit_two(tmp_path, capsys, data):
     path = tmp_path / "m.json"
     path.write_bytes(data)
     rc, out, err = _run(capsys, ["oracle", "--input", str(path)])
+    assert out == ""
+    _assert_one_line_error(rc, err)
+    assert len(err.encode()) < 200
+
+
+def test_bool_entry_exit_two_on_det(tmp_path, capsys):
+    """det reads its --input as oracle does: a JSON true is no entry."""
+    path = tmp_path / "m.json"
+    path.write_bytes(_BOOL_ENTRY)
+    rc, out, err = _run(capsys, ["det", "--field", "gf:2", "--poly", "x+1",
+                                 "--alpha", "1", "--input", str(path)])
     assert out == ""
     _assert_one_line_error(rc, err)
     assert len(err.encode()) < 200

@@ -229,5 +229,3 @@ def test_store_combine_matches_reference(p):
         got = store.combine([field.scalar(c).value for c in coeffs], packed,
                             m)
         assert store.payloads(got, m) == want
-        assert store.entries(got, [j % 2 == 0 for j in range(m)]) == \
-            want[::2]
